@@ -4,7 +4,7 @@ For each paged structure (hybrid tree + the seven ported baselines) the
 benchmark measures, on the same clustered dataset and workload:
 
 - **batch vs loop**: wall time of the kernel's shared-traversal ``*_many``
-  call against the instrumented single-query loop (``measured_loop``), for
+  call against the instrumented single-query loop (the ``*_loop`` methods), for
   box-range queries (distance-range on the M-tree, which has no box
   geometry) and k-NN — asserting the batch path wins the primary query
   kind for every structure, with bit-identical results;
@@ -25,7 +25,7 @@ import time
 
 from conftest import RESULTS_DIR, host_metadata, scaled
 
-from repro.baselines.common import LoopQueryMixin
+from repro.engine.mixins import LoopQueryMixin
 from repro.datasets import clustered_dataset, range_workload
 from repro.distances import L2
 from repro.engine.parallel import ParallelQueryEngine

@@ -39,12 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector
+from repro.baselines.common import EntryLeaf, check_vector
 from repro.core import kdnodes
 from repro.core.kdnodes import KDInternal, KDLeaf, KDNode
 from repro.core.splits import choose_data_split
 from repro.distances import Metric, mindist_rect_many
 from repro.engine.kernel import ChildBound
+from repro.engine.mixins import KernelQueryMixin
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
 from repro.storage.nodemanager import NodeManager

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector
+from repro.baselines.common import EntryLeaf, check_vector
 from repro.engine.kernel import RectBound
+from repro.engine.mixins import KernelQueryMixin
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
 from repro.storage.nodemanager import NodeManager

@@ -28,9 +28,10 @@ import itertools
 
 import numpy as np
 
-from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector
+from repro.baselines.common import EntryLeaf, check_vector
 from repro.distances import L2, Metric
 from repro.engine.kernel import ChildBound
+from repro.engine.mixins import KernelQueryMixin
 from repro.storage.iostats import IOStats
 from repro.storage.nodemanager import NodeManager
 from repro.storage.page import FLOAT_SIZE, OID_SIZE, PAGE_ID_SIZE, PageLayout

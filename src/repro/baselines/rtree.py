@@ -14,11 +14,11 @@ import numpy as np
 
 from repro.baselines.common import (
     EntryLeaf,
-    KernelQueryMixin,
     check_vector,
     quadratic_partition,
 )
 from repro.engine.kernel import RectBound
+from repro.engine.mixins import KernelQueryMixin
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
 from repro.storage.nodemanager import NodeManager

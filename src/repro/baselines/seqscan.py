@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import BatchQueryMixin, check_vector
+from repro.baselines.common import check_vector
 from repro.distances import L2, Metric
+from repro.engine.mixins import BatchQueryMixin
 from repro.geometry.rect import Rect
 from repro.storage.iostats import AccessKind, IOStats
 from repro.storage.page import PageLayout, data_node_capacity

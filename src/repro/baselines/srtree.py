@@ -32,13 +32,13 @@ import numpy as np
 
 from repro.baselines.common import (
     EntryLeaf,
-    KernelQueryMixin,
     check_vector,
     quadratic_partition,
 )
 from repro.baselines.sstree import _is_euclidean
 from repro.distances import Metric
 from repro.engine.kernel import ChildBound
+from repro.engine.mixins import KernelQueryMixin
 from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
 from repro.storage.iostats import IOStats

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import EntryLeaf, KernelQueryMixin, check_vector
+from repro.baselines.common import EntryLeaf, check_vector
 from repro.distances import LpMetric, Metric
 from repro.engine.kernel import ChildBound
+from repro.engine.mixins import KernelQueryMixin
 from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
 from repro.storage.iostats import IOStats

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import BatchQueryMixin, check_vector
+from repro.baselines.common import check_vector
 from repro.distances import L2, LpMetric, Metric
+from repro.engine.mixins import BatchQueryMixin
 from repro.geometry.rect import Rect
 from repro.storage.iostats import AccessKind, IOStats
 from repro.storage.page import PAGE_HEADER_SIZE, PageLayout, data_node_capacity

@@ -6,19 +6,14 @@ tested against all still-alive queries with vectorized predicates, and
 process stops re-paying for them.  Results are bit-identical to the
 single-query API.  The traversal itself lives in the structure-agnostic
 :mod:`repro.engine.kernel` — any index implementing the small ``trav_*``
-protocol (the hybrid tree and all paged baselines do) runs on the same
-batch, parallel, and mmap machinery with the same accounting; see
-:mod:`repro.engine.batch` for the hybrid-tree entry points and
+protocol (the hybrid tree and all paged baselines do) inherits the batch
+API from :mod:`repro.engine.mixins` and runs on the same batch, parallel,
+and mmap machinery with the same accounting; see
 :mod:`repro.engine.metrics` for the per-query latency / page-access
 accounting all execution paths share.
 """
 
-from repro.engine.batch import (
-    QuerySession,
-    distance_range_many,
-    knn_many,
-    range_search_many,
-)
+from repro.engine.batch import QuerySession
 from repro.engine.kernel import (
     ChildBound,
     RectBound,
@@ -49,12 +44,9 @@ __all__ = [
     "active_snapshot",
     "ascii_histogram",
     "compile_snapshot",
-    "distance_range_many",
     "kernel_distance_range_many",
     "kernel_knn_many",
     "kernel_range_search_many",
-    "knn_many",
-    "range_search_many",
     "soa_distance_range_many",
     "soa_knn_many",
     "soa_range_search_many",

@@ -1,143 +1,29 @@
-"""Shared-traversal batch execution of many queries over one hybrid tree.
+"""Query sessions: a pinned hot directory in front of the batch API.
 
-The single-query methods in :class:`~repro.core.hybridtree.HybridTree`
-re-descend from the root for every query, re-charging the same directory
-pages each time.  For a serving workload of hundreds of queries that
-redundancy dominates: the upper levels are fetched once *per query* instead
-of once *per batch*.  This module executes a whole batch in one traversal
-(since the kernel refactor, through the structure-agnostic
-:mod:`repro.engine.kernel`, which the hybrid tree joins via its ``trav_*``
-protocol methods — these wrappers keep the historical hybrid-tree entry
-points and labels):
-
-- queries descend together as an *alive set* (a numpy index array);
-- each tree node is fetched from the :class:`NodeManager` once per batch —
-  one charged page read — and tested against all alive queries with the
-  vectorized ``Rect`` / metric batch predicates;
-- a query leaves the alive set as soon as the node's quantized live-space
-  box can no longer contribute to it, exactly the single-query pruning
-  rule evaluated row-wise.
-
-Results are **bit-identical** to looping the single-query methods: data
-nodes are scanned with the same per-query numpy kernels in the same
-traversal order, the batch bound predicates perform the same clip-and-reduce
-float operations as their scalar forms, and k-NN selection uses the same
-deterministic ``(distance, oid)`` total order.  (The one exception is
-approximate k-NN with ``approximation_factor > 0``, where pruning is
-heuristic and any traversal order is admissible.)
-
-Every batch entry point accepts ``timeout=`` (seconds, or a
-:class:`~repro.resilience.Deadline` carrying a :class:`CancelToken`) and
-``on_timeout`` — ``"raise"`` surfaces a typed
-:class:`~repro.resilience.QueryTimeoutError`, ``"partial"`` returns a
-:class:`~repro.resilience.PartialResult` envelope with the hits gathered
-before the budget expired and a per-query completion mask.  Metrics stay
-honest either way: pages touched before the deadline fired are billed.
+Batch execution itself lives on the index: every structure's
+``range_search_many`` / ``distance_range_many`` / ``knn_many`` come from
+the mixins in :mod:`repro.engine.mixins`, which run one shared traversal
+per batch (:mod:`repro.engine.kernel`, or the vectorized
+:mod:`repro.engine.soa` kernel when a snapshot is attached) — each node
+fetched once per batch, results bit-identical to looping the single-query
+methods, ``timeout=`` / ``on_timeout=`` honoured throughout.
 
 :class:`QuerySession` adds buffer management on top: it pins the hot upper
 levels of the directory once (charging each page a single read), so every
 query executed inside the session revisits the directory for free — the
 steady-state accounting of a warm serving process rather than the paper's
-cold per-query numbers.
+cold per-query numbers.  With ``workers > 1`` it fronts a
+:class:`~repro.engine.parallel.ParallelQueryEngine` instead.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
-from repro.core.nodes import IndexNode
 from repro.distances import L2, Metric
-from repro.engine.kernel import (
-    _as_query_matrix,  # noqa: F401  (re-export: parallel.py imports it here)
-)
-from repro.engine.soa.kernel import (
-    dispatch_distance_range_many,
-    dispatch_knn_many,
-    dispatch_range_search_many,
-)
+from repro.engine.kernel import _as_query_matrix
 from repro.geometry.rect import Rect
 from repro.resilience import QueryAdmissionController
 
-__all__ = [
-    "range_search_many",
-    "distance_range_many",
-    "knn_many",
-    "QuerySession",
-]
-
-
-# ----------------------------------------------------------------------
-# Box range queries
-# ----------------------------------------------------------------------
-def range_search_many(
-    tree,
-    queries: Sequence[Rect],
-    return_metrics: bool = False,
-    timeout=None,
-    on_timeout: str = "raise",
-):
-    """Execute many box range queries in one traversal.
-
-    Returns one oid list per query (bit-identical to
-    ``[tree.range_search(q) for q in queries]``); with
-    ``return_metrics=True`` also a :class:`BatchMetrics`.  Runs on the
-    vectorized SOA kernel when the tree has a compiled snapshot attached
-    (:mod:`repro.engine.soa`), on the object-walk kernel otherwise —
-    results are identical either way.
-    """
-    return dispatch_range_search_many(
-        tree, queries, return_metrics, "range-batch", timeout, on_timeout
-    )
-
-
-# ----------------------------------------------------------------------
-# Distance range queries
-# ----------------------------------------------------------------------
-def distance_range_many(
-    tree,
-    centers,
-    radii,
-    metric: Metric = L2,
-    return_metrics: bool = False,
-    timeout=None,
-    on_timeout: str = "raise",
-):
-    """Execute many distance-range queries (one shared metric) in one pass.
-
-    ``radii`` may be a scalar or one radius per query.  Bit-identical to
-    looping ``tree.distance_range``.
-    """
-    return dispatch_distance_range_many(
-        tree, centers, radii, metric, return_metrics, "distance-batch",
-        timeout, on_timeout,
-    )
-
-
-# ----------------------------------------------------------------------
-# k-nearest-neighbour queries
-# ----------------------------------------------------------------------
-def knn_many(
-    tree,
-    centers,
-    k: int,
-    metric: Metric = L2,
-    approximation_factor: float = 0.0,
-    return_metrics: bool = False,
-    timeout=None,
-    on_timeout: str = "raise",
-):
-    """Execute many k-NN queries in one shared branch-and-bound traversal.
-
-    Children are visited in order of their best lower bound over the alive
-    set (a batch analogue of best-first), and each query prunes with its own
-    current kth distance under the deterministic ``(distance, oid)`` order —
-    so for ``approximation_factor == 0`` the result is exactly what
-    ``tree.knn`` returns for every query.
-    """
-    return dispatch_knn_many(
-        tree, centers, k, metric, approximation_factor, return_metrics,
-        "knn-batch", timeout, on_timeout,
-    )
+__all__ = ["QuerySession"]
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +110,8 @@ class QuerySession:
                 source, workers=workers, mode=mode, stats=tree.io,
                 admission=admission,
             )
+        from repro.core.nodes import IndexNode
+
         self._pinned: list[int] = []
         frontier = [tree.root_id]
         for _ in range(min(pin_levels, tree.height)):
@@ -285,8 +173,8 @@ class QuerySession:
             )
         queries = list(queries)
         with self._admit(len(queries)):
-            return range_search_many(
-                self.tree, queries, return_metrics, timeout, on_timeout
+            return self.tree.range_search_many(
+                queries, return_metrics, timeout, on_timeout
             )
 
     def distance_range_many(
@@ -301,8 +189,8 @@ class QuerySession:
             )
         qs = _as_query_matrix(centers, self.tree.dims)
         with self._admit(qs.shape[0]):
-            return distance_range_many(
-                self.tree, qs, radii, metric, return_metrics, timeout, on_timeout
+            return self.tree.distance_range_many(
+                qs, radii, metric, return_metrics, timeout, on_timeout
             )
 
     def knn_many(
@@ -323,8 +211,8 @@ class QuerySession:
             )
         qs = _as_query_matrix(centers, self.tree.dims)
         with self._admit(qs.shape[0]):
-            return knn_many(
-                self.tree, qs, k, metric, approximation_factor, return_metrics,
+            return self.tree.knn_many(
+                qs, k, metric, approximation_factor, return_metrics,
                 timeout, on_timeout,
             )
 

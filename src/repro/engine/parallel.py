@@ -24,47 +24,61 @@ The ``source`` can be either of:
   because a view cannot be shipped to another process without copying the
   whole structure.
 
-- ``mode="thread"``: each worker thread holds a private handle/view
-  (private :class:`IOStats`).  Python threads interleave under the GIL, but
-  the numpy predicate kernels release it, so scans overlap on multicore
-  hosts.
-- ``mode="fork"`` / ``"spawn"`` (saved-file sources only): worker
-  *processes*, each reopening the tree in its main loop.  With
-  ``mmap=True`` (the default) every worker maps the same file, so the OS
-  page cache holds **one** copy of the data no matter how many workers run
-  — resident memory does not multiply.
+One supervisor drives two kinds of worker.  Both run the same task loop
+(:func:`_serve`): take a call-id-tagged partition from a private task
+queue, answer it on the worker's own handle, reply with the answer (or
+the exception).
+
+- ``mode="thread"``: each worker is a daemon thread owning its handle or
+  view (private :class:`IOStats`), closed when the thread exits.  Python
+  threads interleave under the GIL, but the numpy predicate kernels
+  release it, so scans overlap on multicore hosts.
+- ``mode="fork"`` / ``"spawn"`` (saved-file sources only): each worker is
+  a process reopening the tree in its main loop.  With ``mmap=True`` (the
+  default) every worker maps the same file, so the OS page cache holds
+  **one** copy of the data no matter how many workers run — resident
+  memory does not multiply.
+
+The two kinds differ only inside the worker classes: a thread worker gets
+the call's shared :class:`~repro.resilience.Deadline` (with its
+:class:`~repro.resilience.CancelToken`), a process worker the remaining
+seconds; thread workers reply on one in-process queue, each process
+worker on its own pipe (so a process killed mid-reply can corrupt nothing
+but the pipe discarded with it); a thread "dies" when a
+:class:`SimulatedWorkerDeath` ends its loop, a process when it exits; and
+reclaiming a worker terminates a process, but cancels a thread's call and
+abandons the thread.
 
 Supervision (the runtime failure story; see INTERNALS "Failure
 semantics"):
 
 - every batch call takes ``timeout=`` / ``on_timeout=``.  The deadline is
-  shipped to every partition (thread workers share one
-  :class:`~repro.resilience.Deadline` + :class:`CancelToken`; process
-  workers get the remaining seconds and rebuild it), so in-worker kernels
-  cut themselves off cooperatively.  A worker that blows through the
-  deadline anyway (a wedged process, a non-cooperative stall) is caught by
-  the parent's wall-clock guard after a short grace period and — in
-  process modes — terminated and respawned.
-- process workers are supervised directly (no ``Pool.map``): each worker
-  is a long-lived process with a private task queue and a shared result
-  queue.  A worker found dead is respawned and its partition retried up
-  to ``worker_restarts`` times; exhaustion surfaces as a typed
+  shipped to every partition, so in-worker kernels cut themselves off
+  cooperatively.  A worker that blows through the deadline anyway (a
+  wedged process, a non-cooperative stall) is caught by the parent's
+  wall-clock guard after a short grace period and reclaimed.
+- a worker found dead is respawned and its partition retried up to
+  ``worker_restarts`` times; exhaustion surfaces as a typed
   :class:`~repro.resilience.WorkerCrashError` naming the partition.
   Results are tagged with a per-call id, so stragglers from an abandoned
   call can never be mistaken for current answers.
-- the first failing partition cancels its siblings (token in thread mode,
-  terminate + respawn in process modes) and propagates with the partition
-  label attached (``exc.partition``) — no leaked workers, no swallowed
-  sibling exceptions.
+- the first failing partition reclaims its siblings and propagates with
+  the partition label attached (``exc.partition``) — no leaked workers, no
+  swallowed sibling exceptions.
+- every reclaimed worker is **replaced, not reused**: a fresh worker with
+  a fresh handle takes its partition slot.  An abandoned thread finishes
+  its current task on its own handle — its late answer carries a stale
+  call id and its page charges never reach a later call — then exits and
+  closes that handle.
 - ``on_timeout="partial"``: finished partitions come back complete,
   interrupted ones contribute whatever they salvaged, and the merged
   :class:`~repro.resilience.PartialResult` carries an exact per-partition
   completion mask.
 - an optional :class:`~repro.resilience.QueryAdmissionController` bounds
   in-flight batches before any partitioning happens.
-- :meth:`close` is idempotent, and crash-safe: process workers get a
-  bounded join and are terminated (then killed) if wedged; snapshot-view
-  pins are released on every path.
+- :meth:`close` is idempotent, and crash-safe: every worker gets a bounded
+  join (process workers are then terminated, then killed, if wedged), and
+  thread workers close their handles and snapshot-view pins as they exit.
 
 Chaos hooks: :meth:`inject_faults` arms one-shot
 :class:`~repro.storage.faults.WorkerFault` plans (hang / die / raise) that
@@ -100,23 +114,22 @@ from __future__ import annotations
 
 import copy
 import multiprocessing
+import multiprocessing.connection as mp_connection
 import os
 import queue as queue_mod
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
 
 from repro.distances import L2, Metric
-from repro.engine.batch import _as_query_matrix
-from repro.engine.kernel import check_on_timeout
+from repro.engine.kernel import _as_query_matrix, check_on_timeout
 from repro.engine.metrics import BatchMetrics
 from repro.resilience import (
     CancelToken,
     Deadline,
     PartialResult,
     QueryAdmissionController,
-    QueryCancelledError,
     QueryTimeoutError,
     WorkerCrashError,
 )
@@ -131,8 +144,8 @@ WORKER_MODES = ("thread", "fork", "spawn")
 # off cooperatively before declaring it wedged and reclaiming it.
 _PARTITION_GRACE = 0.25
 
-# Poll tick for the supervision loops: result-queue waits and liveness
-# checks run at this cadence.
+# Poll tick for the supervision loop: reply waits and liveness checks run
+# at this cadence.
 _TICK = 0.02
 
 
@@ -153,9 +166,10 @@ def _index_view(index):
 
     A WAL-enabled hybrid tree (``open(..., wal=True)``) gets a *pinned
     snapshot view* instead (:meth:`HybridTree.snapshot_view`): the worker
-    keeps answering from the committed state at engine-construction time,
+    keeps answering from the committed state at the time it was created
+    (engine construction, or its respawn after a death or a reclaim),
     bit-identically, even while a writer thread mutates the source tree
-    underneath.  The engine owns these views and closes (unpins) them.
+    underneath.  The worker owns these views and closes (unpins) them.
     """
     if getattr(index, "wal", None) is not None and hasattr(index, "snapshot_view"):
         return index.snapshot_view()
@@ -170,6 +184,21 @@ def _index_view(index):
     else:
         view.io = IOStats()
     return view
+
+
+def _close_view(tree, owned: bool) -> None:
+    """Close a worker handle/view if (and only if) the engine owns it."""
+    if owned:
+        tree.close()
+        return
+    # Live-index views share the source's store: never close it.  Pinned
+    # snapshot views are the exception — closing them releases the page
+    # versions the pin kept alive without touching the shared store.
+    from repro.storage.pagestore import SnapshotPageStore
+
+    store = getattr(getattr(tree, "nm", None), "store", None)
+    if isinstance(store, SnapshotPageStore):
+        tree.close()
 
 
 def _payload_n(kind: str, payload: dict) -> int:
@@ -238,84 +267,175 @@ def _run_partition(
     return results, visits, metrics.charged_reads, delta, completed
 
 
-def _supervised_worker_main(path: str, mmap: bool, task_q, result_q) -> None:
-    """Main loop of a supervised worker process.
+def _serve(tree, task_q, reply, in_process: bool) -> None:
+    """The task loop every worker runs on its own handle.
 
-    Opens its own tree handle once (caches stay warm across batches), then
-    answers ``(call_id, partition, kind, payload, remaining, on_timeout,
-    fault)`` tasks until it receives ``None``.  Every reply is tagged with
-    the call id so the parent can discard stragglers from abandoned calls.
-    Failures are shipped back as exception objects; only a death (or an
-    injected ``os._exit``) leaves the parent without an answer, which is
-    exactly the condition its liveness check exists for.
+    Answers ``(call_id, partition, kind, payload, deadline, on_timeout,
+    fault)`` tasks until it receives ``None``; a process worker receives
+    the deadline as remaining seconds and rebuilds it.  Every answer goes
+    to ``reply`` tagged with the call id, so the parent can discard
+    stragglers from abandoned calls.  Failures are shipped back as
+    exception objects; only a death (an injected ``os._exit`` in a
+    process, a :class:`SimulatedWorkerDeath` ending a thread's loop)
+    leaves the parent without an answer, which is exactly the condition
+    its liveness check exists for.
     """
-    tree = _open_worker_tree(path, mmap)
     while True:
         msg = task_q.get()
         if msg is None:
-            break
-        call_id, part_idx, kind, payload, remaining, on_timeout, fault = msg
+            return
+        call_id, part_idx, kind, payload, deadline, on_timeout, fault = msg
         try:
-            deadline = Deadline(remaining) if remaining is not None else None
+            if in_process and deadline is not None:
+                deadline = Deadline(deadline)
             out = _run_partition(
-                tree, kind, payload, deadline, on_timeout, fault, in_process=True
+                tree, kind, payload, deadline, on_timeout, fault, in_process
             )
-            result_q.put((call_id, part_idx, True, out))
+            reply((call_id, part_idx, True, out))
+        except SimulatedWorkerDeath:
+            raise
         except BaseException as exc:  # noqa: BLE001 - transported to parent
             try:
-                result_q.put((call_id, part_idx, False, exc))
+                reply((call_id, part_idx, False, exc))
             except Exception:
-                result_q.put(
-                    (call_id, part_idx, False, RuntimeError(repr(exc)))
-                )
+                reply((call_id, part_idx, False, RuntimeError(repr(exc))))
+
+
+def _supervised_worker_main(path: str, mmap: bool, task_q, reply_end) -> None:
+    """Main of a worker process: open a handle once (caches stay warm
+    across batches), then serve tasks."""
+    _serve(_open_worker_tree(path, mmap), task_q, reply_end.send, in_process=True)
+
+
+class _ThreadWorker:
+    """One supervised worker thread owning its handle or view.
+
+    Thread workers post their replies to the engine's in-process queue.
+    """
+
+    __slots__ = ("thread", "task_q", "replies", "token")
+
+    def __init__(self, engine: "ParallelQueryEngine"):
+        if engine._owns_trees:
+            tree = _open_worker_tree(engine.path, engine.mmap)
+        else:
+            tree = _index_view(engine._source)
+        self.replies = engine._replies
+        self.task_q = queue_mod.Queue()
+        self.token: CancelToken | None = None
+        self.thread = threading.Thread(
+            target=self._main, args=(tree, engine._owns_trees),
+            name="repro-query", daemon=True,
+        )
+        self.thread.start()
+
+    def _main(self, tree, owned: bool) -> None:
+        try:
+            _serve(tree, self.task_q, self.replies.put, in_process=False)
+        except SimulatedWorkerDeath:
+            pass  # the thread's end is the death the supervisor observes
+        finally:
+            _close_view(tree, owned)
+
+    @staticmethod
+    def next_reply(workers, timeout: float):
+        """The next reply any thread worker posted, or None."""
+        try:
+            return workers[0].replies.get(timeout=timeout)
+        except queue_mod.Empty:
+            return None
+
+    def send(self, call_id, part_idx, kind, payload, deadline, on_timeout, fault):
+        self.token = deadline.token if deadline is not None else None
+        self.task_q.put(
+            (call_id, part_idx, kind, payload, deadline, on_timeout, fault)
+        )
+
+    def alive(self) -> bool:
+        return self.thread.is_alive()
+
+    def reclaim(self) -> None:
+        """Cancel the current call and abandon the thread: it exits after
+        its current task, whose answer carries a stale call id."""
+        if self.token is not None:
+            self.token.cancel("partition reclaimed by the supervisor")
+        self.task_q.put(None)
+
+    def stop(self) -> None:
+        self.task_q.put(None)
+        self.thread.join(timeout=1.0)
 
 
 class _ProcWorker:
-    """One supervised worker process plus its private task queue."""
+    """One supervised worker process with a private task queue and a
+    private reply pipe.
 
-    __slots__ = ("proc", "task_q")
+    Nothing is shared between processes: a worker killed mid-reply can
+    only corrupt its own pipe, which is discarded with it (a queue shared
+    by all workers would keep a dead writer's lock held forever).
+    """
 
-    def __init__(self, ctx, path: str, mmap: bool, result_q):
+    __slots__ = ("proc", "task_q", "replies")
+
+    def __init__(self, engine: "ParallelQueryEngine"):
+        ctx = engine._ctx
         self.task_q = ctx.Queue()
+        self.replies, reply_end = ctx.Pipe(duplex=False)
         self.proc = ctx.Process(
             target=_supervised_worker_main,
-            args=(path, mmap, self.task_q, result_q),
+            args=(engine.path, engine.mmap, self.task_q, reply_end),
             daemon=True,
         )
         self.proc.start()
+        reply_end.close()  # the child holds its own copy
+
+    @staticmethod
+    def next_reply(workers, timeout: float):
+        """The next reply any of ``workers`` sent, or None."""
+        ready = mp_connection.wait([w.replies for w in workers], timeout)
+        for worker in workers:
+            if worker.replies in ready:
+                try:
+                    return worker.replies.recv()
+                except (EOFError, OSError):
+                    # Exited before (or while) replying: let it finish
+                    # dying so the liveness check sees it.
+                    worker.proc.join(timeout)
+        return None
+
+    def send(self, call_id, part_idx, kind, payload, deadline, on_timeout, fault):
+        remaining = None
+        if deadline is not None and deadline.timeout is not None:
+            remaining = deadline.remaining()
+        self.task_q.put(
+            (call_id, part_idx, kind, payload, remaining, on_timeout, fault)
+        )
 
     def alive(self) -> bool:
         return self.proc.is_alive()
 
-    def stop(self, join_timeout: float = 1.0) -> None:
-        """Bounded shutdown: ask politely, then terminate, then kill."""
+    def reclaim(self) -> None:
+        """Terminate (then kill) the process and release its channels."""
         try:
             if self.proc.is_alive():
-                self.task_q.put(None)
-                self.proc.join(timeout=join_timeout)
-            if self.proc.is_alive():
                 self.proc.terminate()
-                self.proc.join(timeout=join_timeout)
+                self.proc.join(timeout=1.0)
             if self.proc.is_alive():  # pragma: no cover - last resort
                 self.proc.kill()
-                self.proc.join(timeout=join_timeout)
+                self.proc.join(timeout=1.0)
         finally:
             self.task_q.close()
+            self.replies.close()
             # Release the process object's pipes/sentinel eagerly.
             if not self.proc.is_alive():
                 self.proc.close()
 
-    def terminate(self) -> None:
-        """Immediate reclaim of a wedged or cancelled worker."""
+    def stop(self) -> None:
+        """Bounded shutdown: ask politely, then reclaim."""
         if self.proc.is_alive():
-            self.proc.terminate()
+            self.task_q.put(None)
             self.proc.join(timeout=1.0)
-        if self.proc.is_alive():  # pragma: no cover - last resort
-            self.proc.kill()
-            self.proc.join(timeout=1.0)
-        self.task_q.close()
-        if not self.proc.is_alive():
-            self.proc.close()
+        self.reclaim()
 
 
 def _annotate(exc: BaseException, label: str) -> BaseException:
@@ -359,8 +479,8 @@ class ParallelQueryEngine:
         on every exit path.
     worker_restarts:
         How many times a partition lost to a dead worker is retried on a
-        respawned worker before :class:`WorkerCrashError` (process modes;
-        thread mode applies the same budget to simulated deaths).
+        respawned worker before :class:`WorkerCrashError` (a thread worker
+        dies by a simulated death).
     """
 
     def __init__(
@@ -389,15 +509,9 @@ class ParallelQueryEngine:
         self.worker_restarts = worker_restarts
         self.restarts_performed = 0
         self._closed = False
-        self._abandoned_threads = 0
         self._pending_faults: dict[int, WorkerFault] = {}
         self._call_counter = 0
-        self._trees: list = []
-        self._procs: list[_ProcWorker] = []
         self._source = None
-        self._pool = None
-        self._ctx = None
-        self._result_q = None
         if isinstance(source, (str, os.PathLike)):
             from repro.storage import superblock as superblock_io
 
@@ -405,17 +519,6 @@ class ParallelQueryEngine:
             self._owns_trees = True
             manifest, _ = superblock_io.read_superblock(self.path)
             self.dims = int(manifest["dims"])
-            if mode == "thread":
-                self._trees = [
-                    _open_worker_tree(self.path, mmap) for _ in range(workers)
-                ]
-            else:
-                self._ctx = multiprocessing.get_context(mode)
-                self._result_q = self._ctx.Queue()
-                self._procs = [
-                    _ProcWorker(self._ctx, self.path, mmap, self._result_q)
-                    for _ in range(workers)
-                ]
         else:
             if mode != "thread":
                 raise ValueError(
@@ -426,11 +529,19 @@ class ParallelQueryEngine:
             self._owns_trees = False
             self._source = source
             self.dims = int(source.dims)
-            self._trees = [_index_view(source) for _ in range(workers)]
         if mode == "thread":
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-query"
-            )
+            self._kind = _ThreadWorker
+            self._replies = queue_mod.Queue()  # shared by all thread workers
+        else:
+            self._kind = _ProcWorker
+            self._ctx = multiprocessing.get_context(mode)
+        self._workers: list = []
+        try:
+            for _ in range(workers):
+                self._workers.append(self._kind(self))
+        except BaseException:
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Chaos hooks
@@ -460,46 +571,17 @@ class ParallelQueryEngine:
     # ------------------------------------------------------------------
     # Worker lifecycle helpers
     # ------------------------------------------------------------------
-    def _close_view(self, tree) -> None:
-        """Close a worker handle/view if (and only if) the engine owns it."""
-        if self._owns_trees:
-            tree.close()
-            return
-        # Live-index views share the source's store: never close it.
-        # Pinned snapshot views are the exception — closing them releases
-        # the page versions the pin kept alive without touching the
-        # shared store.
-        from repro.storage.pagestore import SnapshotPageStore
-
-        store = getattr(getattr(tree, "nm", None), "store", None)
-        if isinstance(store, SnapshotPageStore):
-            tree.close()
-
-    def _respawn_thread_view(self, i: int) -> None:
-        """Replace a thread worker's handle after a (simulated) death."""
-        self._close_view(self._trees[i])
-        if self._owns_trees:
-            self._trees[i] = _open_worker_tree(self.path, self.mmap)
+    def _respawn(self, i: int, reclaim: bool) -> None:
+        """Replace worker ``i`` — reclaimed if it is still running, reaped
+        if it already died.  A fresh task queue comes with the fresh
+        worker, so a task the old one never consumed cannot be replayed
+        by its successor."""
+        worker = self._workers[i]
+        if reclaim:
+            worker.reclaim()
         else:
-            self._trees[i] = _index_view(self._source)
-        self.restarts_performed += 1
-
-    def _respawn_proc(self, i: int, terminate: bool) -> None:
-        """Reclaim process worker ``i`` and start a fresh one.
-
-        A fresh task queue comes with the fresh process, so a task the
-        dead worker never consumed cannot be replayed by its successor.
-        """
-        worker = self._procs[i]
-        if terminate:
-            worker.terminate()
-        else:
-            # Already dead; just reap the process object.
-            worker.proc.join(timeout=0.1)
-            worker.task_q.close()
-            if not worker.proc.is_alive():
-                worker.proc.close()
-        self._procs[i] = _ProcWorker(self._ctx, self.path, self.mmap, self._result_q)
+            worker.stop()
+        self._workers[i] = self._kind(self)
         self.restarts_performed += 1
 
     # ------------------------------------------------------------------
@@ -508,126 +590,18 @@ class ParallelQueryEngine:
     def _label(self, kind: str, i: int, total: int) -> str:
         return f"{kind} partition {i + 1}/{total}"
 
-    def _dispatch_thread(self, tasks, deadline, on_timeout):
-        """Supervised thread-mode dispatch.
+    def _supervise(self, tasks, deadline, on_timeout):
+        """Run one call's partitions on the workers and collect the answers.
 
         Returns ``(outs, timeout_err)``: ``outs[i]`` is the partition
-        tuple or ``None`` for a partition abandoned to the deadline;
-        ``timeout_err`` is the error explaining any ``None``.  First
-        failing partition cancels the siblings (shared token) and
-        propagates annotated; simulated worker deaths are retried on a
-        respawned view within the restart budget.
-        """
-        total = len(tasks)
-        outs = [None] * total
-        attempts = [1] * total
-        first_err: BaseException | None = None
-        timeout_err: QueryTimeoutError | None = None
-
-        def submit(i):
-            kind, payload, fault = tasks[i]
-            return self._pool.submit(
-                _run_partition, self._trees[i], kind, payload,
-                deadline, on_timeout, fault,
-            )
-
-        futures = {submit(i): i for i in range(total)}
-        pending = dict(futures)
-        abandon_at = None
-        if deadline is not None and deadline.timeout is not None:
-            abandon_at = deadline.expires_at + _PARTITION_GRACE
-        while pending:
-            done, _ = wait(list(pending), timeout=_TICK, return_when=FIRST_COMPLETED)
-            for fut in done:
-                i = pending.pop(fut)
-                kind, payload, fault = tasks[i]
-                try:
-                    outs[i] = fut.result()
-                except SimulatedWorkerDeath:
-                    if attempts[i] > self.worker_restarts:
-                        first_err = first_err or _annotate(
-                            WorkerCrashError(
-                                f"worker for {self._label(kind, i, total)} died "
-                                f"{attempts[i]} times; retry budget exhausted",
-                                partition=self._label(kind, i, total),
-                                attempts=attempts[i],
-                            ),
-                            self._label(kind, i, total),
-                        )
-                        continue
-                    attempts[i] += 1
-                    self._respawn_thread_view(i)
-                    if fault is not None and not fault.sticky:
-                        tasks[i] = (kind, payload, None)
-                    fut2 = submit(i)
-                    pending[fut2] = i
-                except QueryCancelledError:
-                    # Unwound by the sibling-cancel below; the first error
-                    # is already captured.
-                    pass
-                except QueryTimeoutError as exc:
-                    if on_timeout == "partial":
-                        # Kernels return partial envelopes themselves; a
-                        # raise here means a pre-kernel stage (admission
-                        # of the partition, a fault) hit the deadline.
-                        timeout_err = timeout_err or exc
-                    else:
-                        first_err = first_err or _annotate(
-                            exc, self._label(kind, i, total)
-                        )
-                except Exception as exc:
-                    first_err = first_err or _annotate(
-                        exc, self._label(kind, i, total)
-                    )
-            if first_err is not None and pending:
-                # Cancel the siblings: queued futures are dropped, running
-                # ones observe the token at their next deadline check.
-                if deadline is not None and deadline.token is not None:
-                    deadline.token.cancel("sibling partition failed")
-                for fut in list(pending):
-                    fut.cancel()
-                # Bounded drain — cooperative workers unwind promptly; a
-                # truly wedged thread is abandoned to the executor.
-                drain_until = time.perf_counter() + max(_PARTITION_GRACE, 0.5)
-                while pending and time.perf_counter() < drain_until:
-                    done, _ = wait(
-                        list(pending), timeout=_TICK, return_when=FIRST_COMPLETED
-                    )
-                    for fut in done:
-                        pending.pop(fut)
-                self._abandoned_threads += len(pending)
-                pending.clear()
-                break
-            if abandon_at is not None and pending and time.perf_counter() > abandon_at:
-                # Wedged workers: past deadline + grace they are not going
-                # to cut themselves off.  Threads cannot be killed, so
-                # abandon their futures (daemonless pool threads finish in
-                # the background and their results are discarded).
-                timeout_err = timeout_err or QueryTimeoutError(
-                    f"deadline of {deadline.timeout:.6g}s exceeded; "
-                    f"{len(pending)} partition(s) abandoned past the "
-                    f"{_PARTITION_GRACE:.2g}s grace period",
-                    timeout=deadline.timeout,
-                    elapsed=deadline.elapsed(),
-                )
-                for fut in list(pending):
-                    fut.cancel()
-                self._abandoned_threads += len(pending)
-                pending.clear()
-        if first_err is not None:
-            raise first_err
-        if timeout_err is not None and on_timeout != "partial":
-            raise timeout_err
-        return outs, timeout_err
-
-    def _dispatch_proc(self, tasks, deadline, on_timeout):
-        """Supervised process-mode dispatch (fork/spawn).
-
-        Same contract as :meth:`_dispatch_thread`.  Liveness is polled on
-        every result-queue tick: a dead worker is respawned and its
-        partition retried within the restart budget; a worker still
-        running past deadline + grace is terminated and — under
-        ``"partial"`` — its partition reported incomplete.
+        tuple or ``None`` for a partition given up to the deadline;
+        ``timeout_err`` is the error explaining any ``None``.  Liveness is
+        polled on every tick without a reply: a dead worker is
+        respawned and its partition retried within the restart budget; a
+        worker still running past deadline + grace is reclaimed and —
+        under ``"partial"`` — its partition reported incomplete.  The
+        first failing partition reclaims its siblings and propagates
+        annotated.
         """
         total = len(tasks)
         self._call_counter += 1
@@ -637,16 +611,13 @@ class ParallelQueryEngine:
         timeout_err: QueryTimeoutError | None = None
 
         def send(i):
-            kind, payload, fault = tasks[i]
-            if not self._procs[i].alive():
+            if not self._workers[i].alive():
                 # Died while idle (or failed to initialise): give the
                 # partition a live worker before dispatching to it.
-                self._respawn_proc(i, terminate=False)
-            remaining = None
-            if deadline is not None and deadline.timeout is not None:
-                remaining = deadline.remaining()
-            self._procs[i].task_q.put(
-                (call_id, i, kind, payload, remaining, on_timeout, fault)
+                self._respawn(i, reclaim=False)
+            kind, payload, fault = tasks[i]
+            self._workers[i].send(
+                call_id, i, kind, payload, deadline, on_timeout, fault
             )
 
         for i in range(total):
@@ -660,47 +631,43 @@ class ParallelQueryEngine:
             """First-error propagation: reclaim every sibling partition's
             worker (its in-flight work is discarded) and raise."""
             for j in pending:
-                self._respawn_proc(j, terminate=True)
+                self._respawn(j, reclaim=True)
             pending.clear()
             raise exc
 
         while pending:
-            try:
-                msg = self._result_q.get(timeout=_TICK)
-            except queue_mod.Empty:
-                msg = None
+            msg = self._kind.next_reply([self._workers[i] for i in pending], _TICK)
             if msg is not None:
                 msg_call, i, ok, val = msg
                 if msg_call != call_id or i not in pending:
                     continue  # straggler from an abandoned call
                 kind, payload, fault = tasks[i]
+                pending.discard(i)
                 if ok:
-                    pending.discard(i)
                     outs[i] = val
                 elif isinstance(val, QueryTimeoutError) and on_timeout == "partial":
-                    pending.discard(i)
                     timeout_err = timeout_err or val
                 else:
-                    pending.discard(i)
                     fail_siblings(_annotate(val, self._label(kind, i, total)))
                 continue
             # No result this tick: check for dead workers ...
             for i in sorted(pending):
-                if self._procs[i].alive():
+                if self._workers[i].alive():
                     continue
                 kind, payload, fault = tasks[i]
-                self._respawn_proc(i, terminate=False)
+                self._respawn(i, reclaim=False)
                 if attempts[i] > self.worker_restarts:
                     pending.discard(i)
+                    label = self._label(kind, i, total)
                     fail_siblings(
                         _annotate(
                             WorkerCrashError(
-                                f"worker for {self._label(kind, i, total)} died "
-                                f"{attempts[i]} times; retry budget exhausted",
-                                partition=self._label(kind, i, total),
+                                f"worker for {label} died {attempts[i]} times; "
+                                "retry budget exhausted",
+                                partition=label,
                                 attempts=attempts[i],
                             ),
-                            self._label(kind, i, total),
+                            label,
                         )
                     )
                 attempts[i] += 1
@@ -711,13 +678,13 @@ class ParallelQueryEngine:
             if abandon_at is not None and pending and time.perf_counter() > abandon_at:
                 timeout_err = timeout_err or QueryTimeoutError(
                     f"deadline of {deadline.timeout:.6g}s exceeded; "
-                    f"{len(pending)} partition(s) terminated past the "
+                    f"{len(pending)} partition(s) reclaimed past the "
                     f"{_PARTITION_GRACE:.2g}s grace period",
                     timeout=deadline.timeout,
                     elapsed=deadline.elapsed(),
                 )
                 for i in list(pending):
-                    self._respawn_proc(i, terminate=True)
+                    self._respawn(i, reclaim=True)
                 pending.clear()
         if timeout_err is not None and on_timeout != "partial":
             raise timeout_err
@@ -747,14 +714,7 @@ class ParallelQueryEngine:
                     (kind, payload, faults.get(i))
                     for i, payload in enumerate(payloads)
                 ]
-                if self.mode == "thread":
-                    outs, timeout_err = self._dispatch_thread(
-                        tasks, deadline, on_timeout
-                    )
-                else:
-                    outs, timeout_err = self._dispatch_proc(
-                        tasks, deadline, on_timeout
-                    )
+                outs, timeout_err = self._supervise(tasks, deadline, on_timeout)
         finally:
             if ticket is not None:
                 ticket.release()
@@ -812,7 +772,7 @@ class ParallelQueryEngine:
         return [p for p in np.array_split(np.arange(n), parts)] if parts else []
 
     # ------------------------------------------------------------------
-    # The batch query API (mirrors repro.engine.batch signatures)
+    # The batch query API (mirrors the index batch-method signatures)
     # ------------------------------------------------------------------
     def range_search_many(
         self, queries, return_metrics: bool = False,
@@ -899,31 +859,18 @@ class ParallelQueryEngine:
     def close(self) -> None:
         """Shut the engine down; safe to call twice, safe after crashes.
 
-        Thread mode: the executor is drained (without waiting for
-        abandoned wedged workers) and every owned handle / pinned snapshot
-        view is closed.  Process modes: each worker gets a polite stop
-        with a bounded join, then termination — a wedged pool can never
-        hang ``close()``.
+        Every worker is asked to stop with a bounded join: a thread worker
+        closes its handle / pinned snapshot view as it exits, a process
+        worker still running after the join is terminated — a wedged pool
+        can never hang ``close()``.  Workers abandoned earlier exit on
+        their own after their current task.
         """
         if self._closed:
             return
         self._closed = True
-        if self.mode == "thread":
-            # Abandoned (wedged) workers must not block shutdown; healthy
-            # engines drain normally so view closure below is safe.
-            self._pool.shutdown(
-                wait=self._abandoned_threads == 0, cancel_futures=True
-            )
-            trees, self._trees = self._trees, []
-            for tree in trees:
-                self._close_view(tree)
-        else:
-            procs, self._procs = self._procs, []
-            for worker in procs:
-                worker.stop()
-            if self._result_q is not None:
-                self._result_q.close()
-                self._result_q = None
+        workers, self._workers = self._workers, []
+        for worker in workers:
+            worker.stop()
 
     def __enter__(self) -> "ParallelQueryEngine":
         return self

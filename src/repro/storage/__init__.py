@@ -12,10 +12,10 @@ that makes those numbers meaningful in a pure-Python reproduction:
   by the benchmarks and a real file-backed store used to test persistence.
 - :mod:`repro.storage.mmapstore` -- read-only zero-copy store over a saved
   tree file (mmap views, verify-once-at-open CRC).
-- :mod:`repro.storage.buffer` -- an LRU buffer pool.
 - :mod:`repro.storage.nodemanager` -- the node cache every index runs through;
   it charges one page access per node visit and, when file-backed, round-trips
-  nodes through ``struct``-packed pages.
+  nodes through ``struct``-packed pages (optionally as a bounded LRU buffer,
+  ``max_cached``).
 - :mod:`repro.storage.serialization` -- byte-level node codecs; every page
   is framed with a header and whole-page CRC32 (:mod:`repro.storage.page`).
 - :mod:`repro.storage.errors` -- the typed storage exception hierarchy
@@ -29,7 +29,6 @@ that makes those numbers meaningful in a pure-Python reproduction:
   mutation records with group-commit fsync, checkpointing, and replay.
 """
 
-from repro.storage.buffer import LRUBufferPool
 from repro.storage.errors import (
     CrashError,
     PageCorruptionError,
@@ -73,7 +72,6 @@ __all__ = [
     "FilePageStore",
     "InMemoryPageStore",
     "IOStats",
-    "LRUBufferPool",
     "MmapPageStore",
     "NodeManager",
     "OverlayPageStore",

@@ -183,6 +183,9 @@ class FilePageStore(PageStore):
         # "r+b" keeps existing content; create the file if absent.
         mode = "r+b" if os.path.exists(self.path) else "w+b"
         self._file = open(self.path, mode)
+        # Seek + read/write must be one step: snapshot views and parallel
+        # query views on different threads share one store.
+        self._io_lock = threading.Lock()
         size = os.path.getsize(self.path)
         self._next_id = size // page_size
 
@@ -195,8 +198,10 @@ class FilePageStore(PageStore):
         self._validate_id(page_id)
         if charge:
             self.stats.record(kind)
-        self._file.seek(page_id * self.page_size)
-        data = self._file.read(self.page_size).ljust(self.page_size, b"\x00")
+        with self._io_lock:
+            self._file.seek(page_id * self.page_size)
+            data = self._file.read(self.page_size)
+        data = data.ljust(self.page_size, b"\x00")
         if self.checksums:
             unframe_page(data, page_id)
         return data
@@ -213,8 +218,9 @@ class FilePageStore(PageStore):
             raise ValueError(f"page overflow: {len(data)} > {self.page_size} bytes")
         if charge:
             self.stats.record(kind)
-        self._file.seek(page_id * self.page_size)
-        self._file.write(data.ljust(self.page_size, b"\x00"))
+        with self._io_lock:
+            self._file.seek(page_id * self.page_size)
+            self._file.write(data.ljust(self.page_size, b"\x00"))
 
     def flush(self) -> None:
         self._file.flush()

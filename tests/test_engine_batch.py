@@ -18,9 +18,8 @@ from repro.engine import (
     LoopRecorder,
     QuerySession,
     ascii_histogram,
-    knn_many,
-    range_search_many,
 )
+from repro.engine.mixins import KernelQueryMixin
 from repro.eval import run_workload, run_workload_batched
 from repro.geometry.rect import Rect
 from tests.conftest import random_boxes
@@ -291,6 +290,7 @@ class TestHarnessBatched:
         assert batched.avg_disk_accesses < loop.avg_disk_accesses
 
 
-def test_module_level_functions_match_methods(tree, boxes, centers):
-    assert range_search_many(tree, boxes) == tree.range_search_many(boxes)
-    assert knn_many(tree, centers[:5], 3) == tree.knn_many(centers[:5], 3)
+def test_tree_batch_methods_are_the_kernel_mixins():
+    for name in ("range_search_many", "distance_range_many", "knn_many",
+                 "compile_snapshot", "invalidate_snapshot", "soa_snapshot"):
+        assert getattr(HybridTree, name) is getattr(KernelQueryMixin, name), name

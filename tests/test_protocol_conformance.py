@@ -162,15 +162,9 @@ def test_batch_knn_identical_to_loop(kind, built, centers):
 @pytest.mark.parametrize("kind", [k for k in KINDS if k not in ("vafile", "scan")])
 def test_measured_loop_matches_batch_results(kind, built, centers):
     """The instrumented ``*_loop`` methods return the same answers the
-    kernel batch does (they are the benchmark's loop side).  The hybrid
-    tree does not inherit the mixin, so the loop is invoked unbound — it
-    only needs ``.io`` and the single-query method."""
-    from repro.baselines.common import LoopQueryMixin
-
+    kernel batch does (they are the benchmark's loop side)."""
     index = built[kind]
-    loop_results, loop_metrics = LoopQueryMixin.knn_loop(
-        index, centers, 9, L2, return_metrics=True
-    )
+    loop_results, loop_metrics = index.knn_loop(centers, 9, L2, return_metrics=True)
     batch_results, batch_metrics = index.knn_many(centers, 9, L2, return_metrics=True)
     assert loop_results == batch_results, kind
     assert loop_metrics.num_queries == batch_metrics.num_queries == len(centers)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import sys
 import threading
 import time
 
@@ -28,6 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core import HybridTree
+from repro.distances import L2
 from repro.engine import ParallelQueryEngine
 from repro.geometry.rect import Rect
 from repro.resilience import (
@@ -257,17 +259,15 @@ def test_loop_api_partial_prefix(saved_path, workload):
     completed prefix is marked complete, the rest incomplete."""
     tree = HybridTree.open(saved_path)
     try:
-        from repro.baselines.common import LoopQueryMixin
-
-        out, metrics = LoopQueryMixin.knn_loop(
-            tree, workload["centers"], 5, return_metrics=True,
+        out, metrics = tree.knn_loop(
+            workload["centers"], 5, return_metrics=True,
             timeout=0, on_timeout="partial",
         )
         assert isinstance(out, PartialResult)
         assert not out.completed.any()
         with pytest.raises(QueryTimeoutError):
-            LoopQueryMixin.range_search_loop(tree, workload["boxes"], timeout=0)
-        full = LoopQueryMixin.knn_loop(tree, workload["centers"], 5, timeout=60.0)
+            tree.range_search_loop(workload["boxes"], timeout=0)
+        full = tree.knn_loop(workload["centers"], 5, timeout=60.0)
         assert full == tree.knn_many(workload["centers"], 5)
     finally:
         tree.close()
@@ -538,6 +538,100 @@ def test_live_tree_thread_death_respawns_view(data):
         eng.inject_faults({1: WorkerFault("die")})
         assert eng.knn_many(centers, 3) == serial
         assert eng.restarts_performed == 1
+
+
+def test_thread_workers_stress_one_shared_store(tmp_path, data):
+    """More thread workers than cores on one WAL store, a short switch
+    interval, and a failing partition every other call: each failure
+    replaces the siblings with cold snapshot views that fault pages in
+    concurrently through the shared file store, and every answer after it
+    stays exact."""
+    path = str(tmp_path / "stress.pages")
+    tree = HybridTree.bulk_load(data[:600])
+    tree.save(path)
+    tree.close()
+    tree = HybridTree.open(path, wal=True)
+    interval = sys.getswitchinterval()
+    try:
+        centers = data[:16].astype(np.float64)
+        serial = tree.knn_many(centers, 3)
+        sys.setswitchinterval(1e-5)
+        with ParallelQueryEngine(tree, workers=4, mode="thread") as eng:
+            for i in range(8):
+                eng.inject_faults({i % 4: WorkerFault("raise")})
+                with pytest.raises(TransientIOError):
+                    eng.knn_many(centers, 3, timeout=30.0)
+                assert eng.knn_many(centers, 3, timeout=30.0) == serial
+            assert eng.restarts_performed > 0
+    finally:
+        sys.setswitchinterval(interval)
+        tree.close()
+
+
+class _HookedL2:
+    """Euclidean distance whose first leaf scan runs ``hook`` first.
+
+    Not an ``LpMetric``, so the SOA kernel takes its per-leaf
+    ``distance_batch`` path — a hook there stalls a query *after* its
+    frontier has marked every page visited but *before* it bills them.
+    """
+
+    def __init__(self, hook=None):
+        self.hook = hook
+
+    def distance(self, a, b):
+        return L2.distance(a, b)
+
+    def distance_batch(self, points, q):
+        hook, self.hook = self.hook, None
+        if hook is not None:
+            hook()
+        return L2.distance_batch(points, q)
+
+    def mindist_rect(self, q, low, high):
+        return L2.mindist_rect(q, low, high)
+
+    def mindist_rect_batch(self, queries, low, high):
+        return L2.mindist_rect_batch(queries, low, high)
+
+
+def test_abandoned_thread_worker_never_bills_a_later_call(tmp_path, data):
+    """A thread partition reclaimed by the wall guard must not share its
+    handle with the partitions of later calls.
+
+    The wedged query is held inside its leaf scan until a later call has
+    opened its own partition's I/O window; it then bills its visited pages
+    to whatever handle it holds.  The later call, and the one after it,
+    must charge exactly the fault-free figure.
+    """
+    tree = HybridTree.bulk_load(data)
+    tree.compile_snapshot()
+    path = str(tmp_path / "soa.pages")
+    tree.save(path)
+    center = data[:1].astype(np.float64)  # one query: one partition
+    release = threading.Event()
+
+    def open_window():
+        release.set()  # the wedged query may bill now ...
+        time.sleep(0.3)  # ... while this partition's window is open
+
+    with ParallelQueryEngine(path, workers=2, mode="thread") as eng:
+        _, clean = eng.distance_range_many(
+            center, 0.3, _HookedL2(), return_metrics=True
+        )
+        assert clean.charged_reads > 0
+        out = eng.distance_range_many(
+            center, 0.3, _HookedL2(lambda: release.wait(10.0)),
+            timeout=0.2, on_timeout="partial",
+        )
+        assert isinstance(out, PartialResult) and not out.completed.any()
+        for metric in (_HookedL2(open_window), _HookedL2()):
+            reads0 = eng.io.random_reads
+            _, metrics = eng.distance_range_many(
+                center, 0.3, metric, return_metrics=True
+            )
+            assert metrics.charged_reads == clean.charged_reads
+            assert eng.io.random_reads - reads0 == clean.charged_reads
 
 
 # ======================================================================

@@ -1,5 +1,7 @@
 """Tests for the paged storage substrate."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from repro.storage import (
     FilePageStore,
     InMemoryPageStore,
     IOStats,
-    LRUBufferPool,
     NodeManager,
     PageLayout,
     data_node_capacity,
@@ -159,83 +160,39 @@ class TestFilePageStore:
             store.write(pid, b"x")
             assert len(store.read(pid)) == 32
 
+    def test_concurrent_reads_are_atomic(self, tmp_path):
+        """A read's seek and read are one step: another thread seeking in
+        between must not make it return the wrong page."""
+        with FilePageStore(tmp_path / "p.bin", page_size=32) as store:
+            for pid in range(3):
+                store.allocate()
+                store.write(pid, bytes([pid + 1]) * 32)
+            real = store._file
+            first_seek, second_seek = threading.Event(), threading.Event()
 
-class TestBufferPool:
-    def test_hit_and_miss_accounting(self):
-        store = InMemoryPageStore()
-        pids = [store.allocate() for _ in range(3)]
-        for pid in pids:
-            store.write(pid, bytes([pid]))
-        store.stats.reset()
-        pool = LRUBufferPool(store, capacity=2)
-        pool.read(pids[0])
-        pool.read(pids[0])
-        assert pool.hits == 1 and pool.misses == 1
-        assert store.stats.random_reads == 1  # hit not charged
+            class InterleavingFile:
+                """The first seek waits (briefly) for another thread's."""
 
-    def test_lru_eviction_writes_back_dirty(self):
-        store = InMemoryPageStore()
-        pids = [store.allocate() for _ in range(3)]
-        pool = LRUBufferPool(store, capacity=2)
-        pool.write(pids[0], b"a")
-        pool.write(pids[1], b"b")
-        pool.write(pids[2], b"c")  # evicts pids[0], which is dirty
-        assert store.read(pids[0]).startswith(b"a")
+                def seek(self, pos):
+                    real.seek(pos)
+                    if not first_seek.is_set():
+                        first_seek.set()
+                        second_seek.wait(0.5)
+                    else:
+                        second_seek.set()
 
-    def test_failed_writeback_keeps_dirty_victim(self):
-        # If evicting a dirty victim fails mid-write-back, the frame must
-        # stay in the pool (still dirty) — dropping it would lose the only
-        # copy of the data.
-        from repro.storage.errors import TransientStorageError
-        from repro.storage.faults import FaultInjectingPageStore
+                def read(self, n):
+                    return real.read(n)
 
-        inner = InMemoryPageStore()
-        store = FaultInjectingPageStore(inner)
-        pids = [store.allocate() for _ in range(3)]
-        pool = LRUBufferPool(store, capacity=2)
-        pool.write(pids[0], b"a")
-        pool.write(pids[1], b"b")
-        store.fail_writes(1)
-        with pytest.raises(TransientStorageError):
-            pool.write(pids[2], b"c")  # write-back of victim pids[0] fails
-        # The victim survived in the pool and its data is intact.
-        assert pool.read(pids[0]).startswith(b"a")
-        assert pool.hits == 1
-        # A retry succeeds and nothing was lost.
-        pool.write(pids[2], b"c")
-        pool.flush()
-        for pid, payload in zip(pids, (b"a", b"b", b"c")):
-            assert inner.read(pid).startswith(payload)
-
-    def test_flush(self):
-        store = InMemoryPageStore()
-        pid = store.allocate()
-        pool = LRUBufferPool(store, capacity=2)
-        pool.write(pid, b"z")
-        pool.flush()
-        assert store.read(pid).startswith(b"z")
-
-    def test_invalidate(self):
-        store = InMemoryPageStore()
-        pid = store.allocate()
-        pool = LRUBufferPool(store, capacity=2)
-        pool.write(pid, b"z")
-        pool.invalidate(pid)
-        assert len(pool) == 0
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            LRUBufferPool(InMemoryPageStore(), 0)
-
-    def test_hit_rate(self):
-        store = InMemoryPageStore()
-        pid = store.allocate()
-        store.write(pid, b"")
-        pool = LRUBufferPool(store, capacity=1)
-        assert pool.hit_rate == 0.0
-        pool.read(pid)
-        pool.read(pid)
-        assert pool.hit_rate == 0.5
+            store._file = InterleavingFile()
+            got = {}
+            reader = threading.Thread(target=lambda: got.setdefault(0, store.read(0)))
+            reader.start()
+            first_seek.wait(5.0)
+            got[1] = store.read(1)
+            reader.join()
+            store._file = real
+            assert got == {0: bytes([1]) * 32, 1: bytes([2]) * 32}
 
 
 class TestNodeManager:
