@@ -21,9 +21,13 @@ of its figures, provided for completeness):
 - :mod:`repro.baselines.vafile` — Weber et al. VA-file (quantization scan,
   the constructive form of the linear-scan argument).
 
-All indexes share the informal protocol of
-:class:`repro.baselines.common.FeatureIndex`: ``insert``, ``range_search``,
-``distance_range``, ``knn``, an ``io`` accountant and ``pages()``.
+All indexes answer ``range_search``, ``distance_range`` and ``knn`` (plus
+the batched ``*_many`` and measured ``*_loop`` forms), take ``insert`` and
+expose an ``io`` accountant and ``pages()``.  The seven paged structures
+and the hybrid tree share one base, :class:`repro.engine.mixins.PagedIndex`
+(page layout, node manager, introspection, ``from_points``,
+``point_search`` and the traversal-kernel fetch members); the scans build
+on :class:`repro.engine.mixins.BatchQueryMixin`.
 """
 
 from repro.baselines.hbtree import HBTree

@@ -1,43 +1,18 @@
 """Shared machinery for the baseline index structures.
 
-``FeatureIndex`` documents the informal protocol every index in this
-repository implements (the hybrid tree included), so the evaluation harness
-and the exactness tests can drive them interchangeably.  The batch-query
-surface they share comes from the mixins in :mod:`repro.engine.mixins`.
+The paged substrate every tree-structured index shares (the hybrid tree
+included) is :class:`repro.engine.mixins.PagedIndex`; the scan structures
+take the batch-query surface from
+:class:`repro.engine.mixins.BatchQueryMixin`.
 
-``EntryLeaf`` is the numpy-backed data page reused by the R-tree family.
+``EntryLeaf`` is the numpy-backed data page of the paged baselines.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 import numpy as np
 
-from repro.distances import Metric
 from repro.geometry.rect import Rect
-from repro.storage.iostats import IOStats
-
-
-@runtime_checkable
-class FeatureIndex(Protocol):
-    """What the harness needs from an index structure."""
-
-    io: IOStats
-
-    def insert(self, vector: np.ndarray, oid: int) -> None: ...
-
-    def range_search(self, query: Rect) -> list[int]: ...
-
-    def distance_range(
-        self, query: np.ndarray, radius: float, metric: Metric
-    ) -> list[tuple[int, float]]: ...
-
-    def knn(self, query: np.ndarray, k: int, metric: Metric) -> list[tuple[int, float]]: ...
-
-    def pages(self) -> int: ...
-
-    def __len__(self) -> int: ...
 
 
 class EntryLeaf:

@@ -45,11 +45,10 @@ from repro.core.kdnodes import KDInternal, KDLeaf, KDNode
 from repro.core.splits import choose_data_split
 from repro.distances import Metric, mindist_rect_many
 from repro.engine.kernel import ChildBound
-from repro.engine.mixins import KernelQueryMixin
+from repro.engine.mixins import PagedIndex
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
-from repro.storage.nodemanager import NodeManager
-from repro.storage.page import PageLayout, data_node_capacity, kdtree_node_capacity
+from repro.storage.page import kdtree_node_capacity
 from repro.storage.pagestore import PageStore
 
 
@@ -110,13 +109,16 @@ class _HBBound(ChildBound):
         return mindist_rect_many(metric, qs, self.region.low, self.region.high)
 
 
-class HBTree(KernelQueryMixin):
+class HBTree(PagedIndex):
     """Dynamic hB-tree over a ``dims``-dimensional feature space."""
 
     # Fragments share pages: the kernel charges each page once per batch
     # and scans each (leaf, query) pair once, like the old per-query
     # ``charged``/``scanned`` sets.
     trav_dedup = True
+
+    leaf_type = EntryLeaf
+    index_capacity_of = staticmethod(kdtree_node_capacity)
 
     def __init__(
         self,
@@ -127,47 +129,10 @@ class HBTree(KernelQueryMixin):
         store: PageStore | None = None,
         stats: IOStats | None = None,
     ):
-        if dims < 1:
-            raise ValueError("dims must be >= 1")
-        self.dims = dims
-        self.layout = PageLayout(page_size=page_size)
-        self.leaf_capacity = data_node_capacity(dims, self.layout)
-        self.index_capacity = kdtree_node_capacity(dims, self.layout)
+        super().__init__(
+            dims, page_size=page_size, min_fill=None, store=store, stats=stats
+        )
         self.bounds = bounds if bounds is not None else Rect.unit(dims)
-        self.nm = NodeManager(store=store, stats=stats)
-        self._root_id = self.nm.allocate()
-        self.nm.put(self._root_id, EntryLeaf(dims, self.leaf_capacity), charge=False)
-        self._height = 1
-        self._count = 0
-
-    @property
-    def io(self) -> IOStats:
-        return self.nm.stats
-
-    @property
-    def height(self) -> int:
-        return self._height
-
-    @property
-    def root_id(self) -> int:
-        return self._root_id
-
-    def __len__(self) -> int:
-        return self._count
-
-    def pages(self) -> int:
-        return self.nm.store.allocated_pages
-
-    @classmethod
-    def from_points(
-        cls, vectors: np.ndarray, oids: np.ndarray | None = None, **kwargs
-    ) -> "HBTree":
-        vectors = np.asarray(vectors, dtype=np.float32)
-        tree = cls(vectors.shape[1], **kwargs)
-        ids = oids if oids is not None else range(len(vectors))
-        for v, oid in zip(vectors, ids):
-            tree.insert(v, int(oid))
-        return tree
 
     # ------------------------------------------------------------------
     # Insertion
@@ -296,21 +261,8 @@ class HBTree(KernelQueryMixin):
     # Queries: the traversal kernel (KernelQueryMixin) over the protocol,
     # with page touches de-duplicated (fragments share pages)
     # ------------------------------------------------------------------
-    def point_search(self, vector: np.ndarray) -> list[int]:
-        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
-        return self.range_search(Rect(v32, v32))
-
     def trav_root(self):
         return self._root_id, self.bounds
-
-    def trav_node(self, ref: int, charge: bool = True):
-        return self.nm.get(ref, charge=charge)
-
-    def trav_is_leaf(self, node) -> bool:
-        return isinstance(node, EntryLeaf)
-
-    def trav_leaf_points(self, node):
-        return node.points(), node.live_oids()
 
     def trav_children(self, node, region):
         out = []

@@ -20,11 +20,10 @@ import numpy as np
 
 from repro.baselines.common import EntryLeaf, check_vector
 from repro.engine.kernel import RectBound
-from repro.engine.mixins import KernelQueryMixin
+from repro.engine.mixins import PagedIndex
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
-from repro.storage.nodemanager import NodeManager
-from repro.storage.page import PageLayout, data_node_capacity, kdtree_node_capacity
+from repro.storage.page import kdtree_node_capacity
 from repro.storage.pagestore import PageStore
 
 
@@ -42,8 +41,11 @@ class KDBIndexNode:
         return len(self.entries)
 
 
-class KDBTree(KernelQueryMixin):
+class KDBTree(PagedIndex):
     """Dynamic KDB-tree with honest cascading splits."""
+
+    leaf_type = EntryLeaf
+    index_capacity_of = staticmethod(kdtree_node_capacity)
 
     def __init__(
         self,
@@ -54,47 +56,10 @@ class KDBTree(KernelQueryMixin):
         store: PageStore | None = None,
         stats: IOStats | None = None,
     ):
-        if dims < 1:
-            raise ValueError("dims must be >= 1")
-        self.dims = dims
-        self.layout = PageLayout(page_size=page_size)
-        self.leaf_capacity = data_node_capacity(dims, self.layout)
-        self.index_capacity = kdtree_node_capacity(dims, self.layout)
+        super().__init__(
+            dims, page_size=page_size, min_fill=None, store=store, stats=stats
+        )
         self.bounds = bounds if bounds is not None else Rect.unit(dims)
-        self.nm = NodeManager(store=store, stats=stats)
-        self._root_id = self.nm.allocate()
-        self.nm.put(self._root_id, EntryLeaf(dims, self.leaf_capacity), charge=False)
-        self._height = 1
-        self._count = 0
-
-    @property
-    def io(self) -> IOStats:
-        return self.nm.stats
-
-    @property
-    def height(self) -> int:
-        return self._height
-
-    @property
-    def root_id(self) -> int:
-        return self._root_id
-
-    def __len__(self) -> int:
-        return self._count
-
-    def pages(self) -> int:
-        return self.nm.store.allocated_pages
-
-    @classmethod
-    def from_points(
-        cls, vectors: np.ndarray, oids: np.ndarray | None = None, **kwargs
-    ) -> "KDBTree":
-        vectors = np.asarray(vectors, dtype=np.float32)
-        tree = cls(vectors.shape[1], **kwargs)
-        ids = oids if oids is not None else range(len(vectors))
-        for v, oid in zip(vectors, ids):
-            tree.insert(v, int(oid))
-        return tree
 
     # ------------------------------------------------------------------
     # Insertion
@@ -252,22 +217,6 @@ class KDBTree(KernelQueryMixin):
     # ------------------------------------------------------------------
     # Queries: the traversal kernel (KernelQueryMixin) over the protocol
     # ------------------------------------------------------------------
-    def point_search(self, vector: np.ndarray) -> list[int]:
-        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
-        return self.range_search(Rect(v32, v32))
-
-    def trav_root(self):
-        return self._root_id, None
-
-    def trav_node(self, ref: int, charge: bool = True):
-        return self.nm.get(ref, charge=charge)
-
-    def trav_is_leaf(self, node) -> bool:
-        return isinstance(node, EntryLeaf)
-
-    def trav_leaf_points(self, node):
-        return node.points(), node.live_oids()
-
     def trav_children(self, node, ctx):
         return [(child_id, None, RectBound(rect)) for child_id, rect in node.entries]
 

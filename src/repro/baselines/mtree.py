@@ -31,9 +31,8 @@ import numpy as np
 from repro.baselines.common import EntryLeaf, check_vector
 from repro.distances import L2, Metric
 from repro.engine.kernel import ChildBound
-from repro.engine.mixins import KernelQueryMixin
+from repro.engine.mixins import PagedIndex
 from repro.storage.iostats import IOStats
-from repro.storage.nodemanager import NodeManager
 from repro.storage.page import FLOAT_SIZE, OID_SIZE, PAGE_ID_SIZE, PageLayout
 from repro.storage.pagestore import PageStore
 
@@ -99,10 +98,13 @@ class _RouterBound(ChildBound):
         return np.maximum(0.0, self._router_dists(qs, metric) - self.entry.radius)
 
 
-class MTree(KernelQueryMixin):
+class MTree(PagedIndex):
     """Dynamic M-tree under a metric fixed at construction."""
 
     trav_supports_box = False
+    leaf_type = EntryLeaf
+    leaf_capacity_of = staticmethod(mtree_leaf_capacity)
+    index_capacity_of = staticmethod(mtree_index_capacity)
 
     def __init__(
         self,
@@ -114,44 +116,10 @@ class MTree(KernelQueryMixin):
         store: PageStore | None = None,
         stats: IOStats | None = None,
     ):
-        if dims < 1:
-            raise ValueError("dims must be >= 1")
-        self.dims = dims
+        super().__init__(
+            dims, page_size=page_size, min_fill=min_fill, store=store, stats=stats
+        )
         self.metric = metric
-        self.layout = PageLayout(page_size=page_size)
-        self.leaf_capacity = mtree_leaf_capacity(dims, self.layout)
-        self.index_capacity = mtree_index_capacity(dims, self.layout)
-        self.min_fill = min_fill
-        self.nm = NodeManager(store=store, stats=stats)
-        self._root_id = self.nm.allocate()
-        self.nm.put(self._root_id, EntryLeaf(dims, self.leaf_capacity), charge=False)
-        self._height = 1
-        self._count = 0
-
-    @property
-    def io(self) -> IOStats:
-        return self.nm.stats
-
-    @property
-    def height(self) -> int:
-        return self._height
-
-    def __len__(self) -> int:
-        return self._count
-
-    def pages(self) -> int:
-        return self.nm.store.allocated_pages
-
-    @classmethod
-    def from_points(
-        cls, vectors: np.ndarray, oids: np.ndarray | None = None, **kwargs
-    ) -> "MTree":
-        vectors = np.asarray(vectors, dtype=np.float32)
-        tree = cls(vectors.shape[1], **kwargs)
-        ids = oids if oids is not None else range(len(vectors))
-        for v, oid in zip(vectors, ids):
-            tree.insert(v, int(oid))
-        return tree
 
     def _check_metric(self, metric: Metric) -> None:
         if metric is not self.metric and metric != self.metric:
@@ -347,18 +315,6 @@ class MTree(KernelQueryMixin):
 
     def trav_check_metric(self, metric: Metric) -> None:
         self._check_metric(metric)
-
-    def trav_root(self):
-        return self._root_id, None
-
-    def trav_node(self, ref: int, charge: bool = True):
-        return self.nm.get(ref, charge=charge)
-
-    def trav_is_leaf(self, node) -> bool:
-        return isinstance(node, EntryLeaf)
-
-    def trav_leaf_points(self, node):
-        return node.points(), node.live_oids()
 
     def trav_children(self, node, ctx):
         return [(entry.child_id, None, _RouterBound(entry)) for entry in node.entries]

@@ -18,12 +18,9 @@ from repro.baselines.common import (
     quadratic_partition,
 )
 from repro.engine.kernel import RectBound
-from repro.engine.mixins import KernelQueryMixin
+from repro.engine.mixins import PagedIndex
 from repro.geometry.rect import Rect
-from repro.storage.iostats import IOStats
-from repro.storage.nodemanager import NodeManager
-from repro.storage.page import PageLayout, data_node_capacity, rtree_node_capacity
-from repro.storage.pagestore import PageStore
+from repro.storage.page import rtree_node_capacity
 
 
 class RIndexNode:
@@ -46,63 +43,11 @@ class RIndexNode:
         raise KeyError(child_id)
 
 
-class RTree(KernelQueryMixin):
+class RTree(PagedIndex):
     """Dynamic R-tree over a ``dims``-dimensional feature space."""
 
-    def __init__(
-        self,
-        dims: int,
-        *,
-        page_size: int = 4096,
-        min_fill: float = 0.4,
-        store: PageStore | None = None,
-        stats: IOStats | None = None,
-    ):
-        if dims < 1:
-            raise ValueError("dims must be >= 1")
-        if not 0.0 < min_fill <= 0.5:
-            raise ValueError("min_fill must be in (0, 0.5]")
-        self.dims = dims
-        self.layout = PageLayout(page_size=page_size)
-        self.leaf_capacity = data_node_capacity(dims, self.layout)
-        self.index_capacity = rtree_node_capacity(dims, self.layout)
-        self.min_fill = min_fill
-        self.nm = NodeManager(store=store, stats=stats)
-        self._root_id = self.nm.allocate()
-        self.nm.put(self._root_id, EntryLeaf(dims, self.leaf_capacity), charge=False)
-        self._height = 1
-        self._count = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def io(self) -> IOStats:
-        return self.nm.stats
-
-    @property
-    def height(self) -> int:
-        return self._height
-
-    @property
-    def root_id(self) -> int:
-        return self._root_id
-
-    def __len__(self) -> int:
-        return self._count
-
-    def pages(self) -> int:
-        return self.nm.store.allocated_pages
-
-    @classmethod
-    def from_points(
-        cls, vectors: np.ndarray, oids: np.ndarray | None = None, **kwargs
-    ) -> "RTree":
-        """Build by repeated insertion (the construction the paper timed)."""
-        vectors = np.asarray(vectors, dtype=np.float32)
-        tree = cls(vectors.shape[1], **kwargs)
-        ids = oids if oids is not None else range(len(vectors))
-        for v, oid in zip(vectors, ids):
-            tree.insert(v, int(oid))
-        return tree
+    leaf_type = EntryLeaf
+    index_capacity_of = staticmethod(rtree_node_capacity)
 
     # ------------------------------------------------------------------
     # Insertion (Guttman's ChooseLeaf / AdjustTree / quadratic SplitNode)
@@ -325,21 +270,5 @@ class RTree(KernelQueryMixin):
     # ------------------------------------------------------------------
     # Queries: the traversal kernel (KernelQueryMixin) over the protocol
     # ------------------------------------------------------------------
-    def point_search(self, vector: np.ndarray) -> list[int]:
-        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
-        return self.range_search(Rect(v32, v32))
-
-    def trav_root(self):
-        return self._root_id, None
-
-    def trav_node(self, ref: int, charge: bool = True):
-        return self.nm.get(ref, charge=charge)
-
-    def trav_is_leaf(self, node) -> bool:
-        return isinstance(node, EntryLeaf)
-
-    def trav_leaf_points(self, node):
-        return node.points(), node.live_oids()
-
     def trav_children(self, node, ctx):
         return [(child_id, None, RectBound(rect)) for child_id, rect in node.entries]

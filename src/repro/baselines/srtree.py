@@ -38,12 +38,11 @@ from repro.baselines.common import (
 from repro.baselines.sstree import _is_euclidean
 from repro.distances import Metric
 from repro.engine.kernel import ChildBound
-from repro.engine.mixins import KernelQueryMixin
+from repro.engine.mixins import PagedIndex
 from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
 from repro.storage.iostats import IOStats
-from repro.storage.nodemanager import NodeManager
-from repro.storage.page import PageLayout, data_node_capacity, srtree_node_capacity
+from repro.storage.page import srtree_node_capacity
 from repro.storage.pagestore import PageStore
 
 
@@ -104,10 +103,12 @@ class SRIndexNode:
         return len(self.entries)
 
 
-class SRTree(KernelQueryMixin):
+class SRTree(PagedIndex):
     """Dynamic SR-tree over a ``dims``-dimensional feature space."""
 
     INSERT_POLICIES = ("rtree", "sstree")
+    leaf_type = EntryLeaf
+    index_capacity_of = staticmethod(srtree_node_capacity)
 
     def __init__(
         self,
@@ -119,48 +120,14 @@ class SRTree(KernelQueryMixin):
         store: PageStore | None = None,
         stats: IOStats | None = None,
     ):
-        if dims < 1:
-            raise ValueError("dims must be >= 1")
         if insert_policy not in self.INSERT_POLICIES:
             raise ValueError(
                 f"insert_policy must be one of {self.INSERT_POLICIES}, got {insert_policy!r}"
             )
+        super().__init__(
+            dims, page_size=page_size, min_fill=min_fill, store=store, stats=stats
+        )
         self.insert_policy = insert_policy
-        self.dims = dims
-        self.layout = PageLayout(page_size=page_size)
-        self.leaf_capacity = data_node_capacity(dims, self.layout)
-        self.index_capacity = srtree_node_capacity(dims, self.layout)
-        self.min_fill = min_fill
-        self.nm = NodeManager(store=store, stats=stats)
-        self._root_id = self.nm.allocate()
-        self.nm.put(self._root_id, EntryLeaf(dims, self.leaf_capacity), charge=False)
-        self._height = 1
-        self._count = 0
-
-    @property
-    def io(self) -> IOStats:
-        return self.nm.stats
-
-    @property
-    def height(self) -> int:
-        return self._height
-
-    def __len__(self) -> int:
-        return self._count
-
-    def pages(self) -> int:
-        return self.nm.store.allocated_pages
-
-    @classmethod
-    def from_points(
-        cls, vectors: np.ndarray, oids: np.ndarray | None = None, **kwargs
-    ) -> "SRTree":
-        vectors = np.asarray(vectors, dtype=np.float32)
-        tree = cls(vectors.shape[1], **kwargs)
-        ids = oids if oids is not None else range(len(vectors))
-        for v, oid in zip(vectors, ids):
-            tree.insert(v, int(oid))
-        return tree
 
     # ------------------------------------------------------------------
     # Insertion
@@ -291,21 +258,5 @@ class SRTree(KernelQueryMixin):
     # ------------------------------------------------------------------
     # Queries: the traversal kernel (KernelQueryMixin) over the protocol
     # ------------------------------------------------------------------
-    def point_search(self, vector: np.ndarray) -> list[int]:
-        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
-        return self.range_search(Rect(v32, v32))
-
-    def trav_root(self):
-        return self._root_id, None
-
-    def trav_node(self, ref: int, charge: bool = True):
-        return self.nm.get(ref, charge=charge)
-
-    def trav_is_leaf(self, node) -> bool:
-        return isinstance(node, EntryLeaf)
-
-    def trav_leaf_points(self, node):
-        return node.points(), node.live_oids()
-
     def trav_children(self, node, ctx):
         return [(entry.child_id, None, _SRBound(entry)) for entry in node.entries]

@@ -18,13 +18,10 @@ import numpy as np
 from repro.baselines.common import EntryLeaf, check_vector
 from repro.distances import LpMetric, Metric
 from repro.engine.kernel import ChildBound
-from repro.engine.mixins import KernelQueryMixin
+from repro.engine.mixins import PagedIndex
 from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
-from repro.storage.iostats import IOStats
-from repro.storage.nodemanager import NodeManager
-from repro.storage.page import PageLayout, data_node_capacity, sstree_node_capacity
-from repro.storage.pagestore import PageStore
+from repro.storage.page import sstree_node_capacity
 
 
 def _is_euclidean(metric: Metric) -> bool:
@@ -78,55 +75,11 @@ class SSIndexNode:
         return len(self.entries)
 
 
-class SSTree(KernelQueryMixin):
+class SSTree(PagedIndex):
     """Dynamic SS-tree; supports Euclidean distance queries and box queries."""
 
-    def __init__(
-        self,
-        dims: int,
-        *,
-        page_size: int = 4096,
-        min_fill: float = 0.4,
-        store: PageStore | None = None,
-        stats: IOStats | None = None,
-    ):
-        if dims < 1:
-            raise ValueError("dims must be >= 1")
-        self.dims = dims
-        self.layout = PageLayout(page_size=page_size)
-        self.leaf_capacity = data_node_capacity(dims, self.layout)
-        self.index_capacity = sstree_node_capacity(dims, self.layout)
-        self.min_fill = min_fill
-        self.nm = NodeManager(store=store, stats=stats)
-        self._root_id = self.nm.allocate()
-        self.nm.put(self._root_id, EntryLeaf(dims, self.leaf_capacity), charge=False)
-        self._height = 1
-        self._count = 0
-
-    @property
-    def io(self) -> IOStats:
-        return self.nm.stats
-
-    @property
-    def height(self) -> int:
-        return self._height
-
-    def __len__(self) -> int:
-        return self._count
-
-    def pages(self) -> int:
-        return self.nm.store.allocated_pages
-
-    @classmethod
-    def from_points(
-        cls, vectors: np.ndarray, oids: np.ndarray | None = None, **kwargs
-    ) -> "SSTree":
-        vectors = np.asarray(vectors, dtype=np.float32)
-        tree = cls(vectors.shape[1], **kwargs)
-        ids = oids if oids is not None else range(len(vectors))
-        for v, oid in zip(vectors, ids):
-            tree.insert(v, int(oid))
-        return tree
+    leaf_type = EntryLeaf
+    index_capacity_of = staticmethod(sstree_node_capacity)
 
     # ------------------------------------------------------------------
     # Insertion
@@ -239,11 +192,6 @@ class SSTree(KernelQueryMixin):
     # ------------------------------------------------------------------
     # Queries: the traversal kernel (KernelQueryMixin) over the protocol
     # ------------------------------------------------------------------
-    def point_search(self, vector: np.ndarray) -> list[int]:
-        """Object ids stored at exactly ``vector`` (float32 equality)."""
-        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
-        return self.range_search(Rect(v32, v32))
-
     def _require_euclidean(self, metric: Metric) -> None:
         if not _is_euclidean(metric):
             raise ValueError(
@@ -254,18 +202,6 @@ class SSTree(KernelQueryMixin):
 
     def trav_check_metric(self, metric: Metric) -> None:
         self._require_euclidean(metric)
-
-    def trav_root(self):
-        return self._root_id, None
-
-    def trav_node(self, ref: int, charge: bool = True):
-        return self.nm.get(ref, charge=charge)
-
-    def trav_is_leaf(self, node) -> bool:
-        return isinstance(node, EntryLeaf)
-
-    def trav_leaf_points(self, node):
-        return node.points(), node.live_oids()
 
     def trav_children(self, node, ctx):
         return [

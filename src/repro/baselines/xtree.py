@@ -57,6 +57,8 @@ class SupernodeManager(NodeManager):
 class XTree(RTree):
     """Dynamic X-tree with overlap-bounded splits and supernodes."""
 
+    node_manager_type = SupernodeManager
+
     def __init__(
         self,
         dims: int,
@@ -77,11 +79,6 @@ class XTree(RTree):
         )
         self.max_overlap = max_overlap
         self.max_supernode_pages = max_supernode_pages
-        # Swap in the supernode-aware manager (keeps the root already there).
-        manager = SupernodeManager(store=self.nm.store, stats=self.nm.stats)
-        manager._cache = self.nm._cache
-        manager._dirty = self.nm._dirty
-        self.nm = manager
 
     # ------------------------------------------------------------------
     def _capacity_of(self, node_id: int) -> int:

@@ -294,7 +294,8 @@ def cmd_bench_batch(args: argparse.Namespace) -> int:
         # the requested engine (a compiled snapshot routes the *_many calls
         # through the vectorized SOA kernel, and is invalidated here so the
         # loop side can never accidentally benefit from it).
-        index.invalidate_snapshot()
+        if use_soa:
+            index.invalidate_snapshot()
         index.io.reset()
         start = time.perf_counter()
         loop_results, loop_metrics = run_loop()
@@ -335,7 +336,7 @@ def cmd_bench_batch(args: argparse.Namespace) -> int:
         boxes = workload.boxes()
         compare(
             "range",
-            lambda: _loop_range(index, boxes),
+            lambda: index.range_search_loop(boxes, return_metrics=True),
             lambda: index.range_search_many(boxes, return_metrics=True, **budget),
         )
     else:
@@ -347,21 +348,23 @@ def cmd_bench_batch(args: argparse.Namespace) -> int:
         dist = (dwork.centers, dwork.radii)
         compare(
             "distance",
-            lambda: _loop_distance(index, dist[0], dist[1], metric),
+            lambda: index.distance_range_loop(
+                dist[0], dist[1], metric, return_metrics=True
+            ),
             lambda: index.distance_range_many(
                 dist[0], dist[1], metric, return_metrics=True, **budget
             ),
         )
     compare(
         f"knn k={args.k}",
-        lambda: _loop_knn(index, centers, args.k, metric),
+        lambda: index.knn_loop(centers, args.k, metric, return_metrics=True),
         lambda: index.knn_many(centers, args.k, metric, return_metrics=True, **budget),
     )
     if isinstance(index, HybridTree):
         with QuerySession(index, pin_levels=args.pin_levels) as session:
             compare(
                 f"knn k={args.k} (session, {session.pinned_pages} pinned)",
-                lambda: _loop_knn(index, centers, args.k, metric),
+                lambda: index.knn_loop(centers, args.k, metric, return_metrics=True),
                 lambda: session.knn_many(
                     centers, args.k, metric, return_metrics=True, **budget
                 ),
@@ -470,52 +473,6 @@ def _bench_parallel(args, index, boxes, dist, centers, metric, budget) -> None:
         if serial is not index:
             serial.close()
         print(render_table(rows, title))
-
-
-def _charged_reads(io) -> int:
-    # Both access kinds: random-only accounting silently drops the
-    # sequential reads that dominate seqscan/VA-file loops.
-    return io.random_reads + io.sequential_reads
-
-
-def _loop_range(index, boxes):
-    """Single-query loop instrumented like the baselines' measured loop."""
-    from repro.engine.metrics import LoopRecorder
-
-    recorder = LoopRecorder("range-loop", index.io)
-    reads0 = _charged_reads(index.io)
-    results = []
-    for box in boxes:
-        recorder.start_query()
-        results.append(index.range_search(box))
-        recorder.end_query()
-    return results, recorder.finish(charged_reads=_charged_reads(index.io) - reads0)
-
-
-def _loop_distance(index, centers, radii, metric):
-    from repro.engine.metrics import LoopRecorder
-
-    recorder = LoopRecorder("distance-loop", index.io)
-    reads0 = _charged_reads(index.io)
-    results = []
-    for center, radius in zip(centers, radii):
-        recorder.start_query()
-        results.append(index.distance_range(center, float(radius), metric=metric))
-        recorder.end_query()
-    return results, recorder.finish(charged_reads=_charged_reads(index.io) - reads0)
-
-
-def _loop_knn(index, centers, k, metric):
-    from repro.engine.metrics import LoopRecorder
-
-    recorder = LoopRecorder("knn-loop", index.io)
-    reads0 = _charged_reads(index.io)
-    results = []
-    for center in centers:
-        recorder.start_query()
-        results.append(index.knn(center, k, metric=metric))
-        recorder.end_query()
-    return results, recorder.finish(charged_reads=_charged_reads(index.io) - reads0)
 
 
 # ----------------------------------------------------------------------

@@ -88,8 +88,8 @@ def _bulk_load_inner(tree, vectors: np.ndarray, oids: np.ndarray, n: int) -> int
     tree.nm.free(tree._root_id)
 
     def build_data_level(indices: np.ndarray) -> KDNode:
-        if len(indices) <= tree.data_capacity:
-            node = DataNode(tree.dims, tree.data_capacity)
+        if len(indices) <= tree.leaf_capacity:
+            node = DataNode(tree.dims, tree.leaf_capacity)
             node.vectors[: len(indices)] = vectors[indices]
             node.oids[: len(indices)] = oids[indices]
             node.count = len(indices)

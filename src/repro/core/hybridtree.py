@@ -43,7 +43,7 @@ from repro.core.splits import (
     reset_round_robin,
 )
 from repro.distances import L2, Metric
-from repro.engine.mixins import KernelQueryMixin
+from repro.engine.mixins import KernelQueryMixin, PagedIndex
 from repro.geometry.rect import Rect
 from repro.storage import superblock as superblock_io
 from repro.storage import wal as wal_io
@@ -77,7 +77,7 @@ def _f32(x: float) -> float:
     return float(np.float32(x))
 
 
-class HybridTree(KernelQueryMixin):
+class HybridTree(PagedIndex):
     """Hybrid tree over a ``dims``-dimensional normalized feature space.
 
     Parameters
@@ -113,6 +113,9 @@ class HybridTree(KernelQueryMixin):
         mid-workload, minus any entries whose data pages were lost.
     """
 
+    leaf_type = DataNode
+    index_capacity_of = staticmethod(kdtree_node_capacity)
+
     def __init__(
         self,
         dims: int,
@@ -128,15 +131,9 @@ class HybridTree(KernelQueryMixin):
         stats: IOStats | None = None,
         on_corruption: str = "raise",
     ):
-        if dims < 1:
-            raise ValueError("dims must be >= 1")
-        if not 0.0 < min_fill <= 0.5:
-            raise ValueError("min_fill must be in (0, 0.5]")
-        self.dims = dims
-        self.layout = PageLayout(page_size=page_size)
-        self.data_capacity = data_node_capacity(dims, self.layout)
-        self.index_capacity = kdtree_node_capacity(dims, self.layout)
-        self.min_fill = min_fill
+        super().__init__(
+            dims, page_size=page_size, min_fill=min_fill, store=store, stats=stats
+        )
         self.split_policy = split_policy
         self.split_position = split_position
         self.expected_query_side = expected_query_side
@@ -152,12 +149,7 @@ class HybridTree(KernelQueryMixin):
         self.source_path: str | None = None
         self.read_only = False
         self.modified_since_save = False
-        self.nm = NodeManager(store=store, stats=stats)
         self.els = ELSTable(dims, els_bits)
-        self._root_id = self.nm.allocate()
-        self.nm.put(self._root_id, DataNode(dims, self.data_capacity), charge=False)
-        self._height = 1
-        self._count = 0
         self._init_wal_state()
 
     def _init_wal_state(self) -> None:
@@ -171,29 +163,10 @@ class HybridTree(KernelQueryMixin):
         self._carry_freed: set[int] = set()
         self._carry_els: dict[int, Rect | None] = {}
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return self._count
-
     @property
-    def height(self) -> int:
-        """Number of levels (1 = the root is a data node)."""
-        return self._height
-
-    @property
-    def root_id(self) -> int:
-        return self._root_id
-
-    @property
-    def io(self) -> IOStats:
-        """The I/O accountant shared with the page store."""
-        return self.nm.stats
-
-    def pages(self) -> int:
-        """Pages occupied by the tree."""
-        return self.nm.store.allocated_pages
+    def data_capacity(self) -> int:
+        """Entries per data node (the base's ``leaf_capacity``)."""
+        return self.leaf_capacity
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -444,7 +417,7 @@ class HybridTree(KernelQueryMixin):
             view = type(self).__new__(type(self))
             view.dims = self.dims
             view.layout = self.layout
-            view.data_capacity = self.data_capacity
+            view.leaf_capacity = self.leaf_capacity
             view.index_capacity = self.index_capacity
             view.min_fill = self.min_fill
             view.split_policy = self.split_policy
@@ -459,7 +432,7 @@ class HybridTree(KernelQueryMixin):
             view.nm = NodeManager(
                 store=store,
                 codec=HybridNodeCodec(
-                    self.dims, self.data_capacity, self.layout.page_size
+                    self.dims, self.leaf_capacity, self.layout.page_size
                 ),
                 stats=store.stats,
             )
@@ -576,8 +549,8 @@ class HybridTree(KernelQueryMixin):
         split = choose_data_split(
             points, self.min_fill, self.split_policy, self.split_position
         )
-        left = DataNode(self.dims, self.data_capacity)
-        right = DataNode(self.dims, self.data_capacity)
+        left = DataNode(self.dims, self.leaf_capacity)
+        right = DataNode(self.dims, self.leaf_capacity)
         for idx in split.left_indices:
             left.add(points[idx], int(oids[idx]))
         for idx in split.right_indices:
@@ -678,7 +651,7 @@ class HybridTree(KernelQueryMixin):
         self._count -= 1
         self.modified_since_save = True
         self.invalidate_snapshot()
-        min_entries = max(1, int(np.floor(self.min_fill * self.data_capacity)))
+        min_entries = max(1, int(np.floor(self.min_fill * self.leaf_capacity)))
         if node.count >= min_entries or not path:
             if node.count > 0:
                 self.els.set(node_id, node.live_rect())  # tighten eagerly
@@ -834,11 +807,6 @@ class HybridTree(KernelQueryMixin):
             vectors, oids = self._degrade(exc)
             return [int(o) for o in oids[query.contains_points_mask(vectors)]]
         return [int(o) for arr in results for o in arr]
-
-    def point_search(self, vector: np.ndarray) -> list[int]:
-        """Object ids stored at exactly ``vector`` (float32 equality)."""
-        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
-        return self.range_search(Rect(v32, v32))
 
     def distance_range(
         self, query: np.ndarray, radius: float, metric: Metric = L2
@@ -1091,16 +1059,7 @@ class HybridTree(KernelQueryMixin):
     # Traversal-kernel protocol (repro.engine.kernel)
     # ------------------------------------------------------------------
     def trav_root(self):
-        return self.root_id, self.bounds
-
-    def trav_node(self, ref: int, charge: bool = True):
-        return self.nm.get(ref, charge=charge)
-
-    def trav_is_leaf(self, node) -> bool:
-        return isinstance(node, DataNode)
-
-    def trav_leaf_points(self, node):
-        return node.points(), node.live_oids()
+        return self._root_id, self.bounds
 
     def trav_children(self, node, region):
         from repro.engine.kernel import RectBound
@@ -1148,7 +1107,7 @@ class HybridTree(KernelQueryMixin):
             self._save_locked(os.fspath(path), HybridNodeCodec)
 
     def _save_locked(self, path: str, HybridNodeCodec) -> None:
-        codec = HybridNodeCodec(self.dims, self.data_capacity, self.layout.page_size)
+        codec = HybridNodeCodec(self.dims, self.leaf_capacity, self.layout.page_size)
         tmp_pages = path + ".tmp"
         if os.path.exists(tmp_pages):
             os.remove(tmp_pages)
@@ -1348,7 +1307,7 @@ class HybridTree(KernelQueryMixin):
         tree = cls.__new__(cls)
         tree.dims = int(manifest["dims"])
         tree.layout = PageLayout(page_size=page_size)
-        tree.data_capacity = data_node_capacity(tree.dims, tree.layout)
+        tree.leaf_capacity = data_node_capacity(tree.dims, tree.layout)
         tree.index_capacity = kdtree_node_capacity(tree.dims, tree.layout)
         tree.min_fill = manifest["min_fill"]
         tree.split_policy = manifest["split_policy"]
@@ -1377,7 +1336,7 @@ class HybridTree(KernelQueryMixin):
             )
             codec = HybridNodeCodec(
                 tree.dims,
-                tree.data_capacity,
+                tree.leaf_capacity,
                 page_size,
                 copy=False,
                 verify_checksums=False,
@@ -1385,7 +1344,7 @@ class HybridTree(KernelQueryMixin):
         else:
             base = FilePageStore(path, page_size, stats=stats, checksums=True)
             store = VersionedOverlayStore(base) if wal else OverlayPageStore(base)
-            codec = HybridNodeCodec(tree.dims, tree.data_capacity, page_size)
+            codec = HybridNodeCodec(tree.dims, tree.leaf_capacity, page_size)
         store.set_allocator_state(
             int(manifest["page_count"]), [int(pid) for pid in blob["free_ids"]]
         )
@@ -1534,7 +1493,7 @@ class HybridTree(KernelQueryMixin):
         their region chain, ELS boxes between live space and region, entry
         count bookkeeping.
         """
-        min_entries = max(1, int(np.floor(self.min_fill * self.data_capacity)))
+        min_entries = max(1, int(np.floor(self.min_fill * self.leaf_capacity)))
         total = 0
         leaf_depths: set[int] = set()
 
@@ -1544,7 +1503,7 @@ class HybridTree(KernelQueryMixin):
             if isinstance(node, DataNode):
                 leaf_depths.add(depth)
                 total += node.count
-                assert node.count <= self.data_capacity
+                assert node.count <= self.leaf_capacity
                 if not is_root:
                     assert node.count >= min_entries, (
                         f"data node {node_id} under-utilised: {node.count}"

@@ -1,4 +1,4 @@
-"""The batch-query surface every index structure shares.
+"""The batch-query surface every index structure shares, and the paged base.
 
 Three mixins supply ``range_search_many`` / ``distance_range_many`` /
 ``knn_many`` (and the measured ``*_loop`` forms) to the hybrid tree and the
@@ -13,6 +13,11 @@ baselines:
   methods from the structure-agnostic traversal kernel
   (:mod:`repro.engine.kernel`), for every paged structure implementing the
   ``trav_*`` protocol — the hybrid tree included.
+
+``PagedIndex`` extends ``KernelQueryMixin`` with the paged substrate the
+hybrid tree and the seven paged baselines share: page layout, node
+manager, root leaf, introspection, construction by repeated insertion,
+point lookup and the default ``trav_*`` fetch members.
 
 The module imports nothing from :mod:`repro.core` or
 :mod:`repro.baselines`, so both can inherit from it without an import
@@ -33,8 +38,12 @@ from repro.engine.soa.kernel import (
 )
 from repro.geometry.rect import Rect
 from repro.resilience import Deadline, PartialResult, QueryTimeoutError
+from repro.storage.iostats import IOStats
+from repro.storage.nodemanager import NodeManager
+from repro.storage.page import PageLayout, data_node_capacity
+from repro.storage.pagestore import PageStore
 
-__all__ = ["BatchQueryMixin", "KernelQueryMixin", "LoopQueryMixin"]
+__all__ = ["BatchQueryMixin", "KernelQueryMixin", "LoopQueryMixin", "PagedIndex"]
 
 
 def _loop(calls, deadline, on_timeout, recorder: LoopRecorder | None = None):
@@ -261,3 +270,112 @@ class KernelQueryMixin(LoopQueryMixin):
         approximation_factor: float = 0.0,
     ) -> list[tuple[int, float]]:
         return self.knn_many([query], k, metric, approximation_factor)[0]
+
+
+class PagedIndex(KernelQueryMixin):
+    """The paged substrate of every tree-structured index.
+
+    The hybrid tree and the seven paged baselines run on one page layout
+    and one :class:`NodeManager`, so every structure pays for its pages
+    the same way — the condition the paper's Section 4 comparison rests
+    on.  A new tree is a single empty data page.
+
+    Each structure declares what differs as class attributes:
+
+    - ``leaf_type`` — its data-page class, built as
+      ``leaf_type(dims, leaf_capacity)``;
+    - ``index_capacity_of`` and ``leaf_capacity_of`` — entries per page,
+      as ``f(dims, layout)``; leaves default to
+      :func:`~repro.storage.page.data_node_capacity`;
+    - ``node_manager_type`` — a :class:`NodeManager` subclass for pages
+      charged differently (the X-tree's multi-page supernodes).
+
+    and implements ``insert`` and ``trav_children`` (plus ``trav_root``
+    when its traversal carries a region).  ``min_fill`` is the
+    utilization guarantee as a fraction of capacity, in (0, 0.5]
+    (default 0.4); structures with no guarantee (KDB-, hB-tree) pass
+    ``None``.
+    """
+
+    leaf_capacity_of = staticmethod(data_node_capacity)
+    node_manager_type = NodeManager
+
+    def __init__(
+        self,
+        dims: int,
+        *,
+        page_size: int = 4096,
+        min_fill: float | None = 0.4,
+        store: PageStore | None = None,
+        stats: IOStats | None = None,
+    ):
+        if dims < 1:
+            raise ValueError("dims must be >= 1")
+        if min_fill is not None and not 0.0 < min_fill <= 0.5:
+            raise ValueError("min_fill must be in (0, 0.5]")
+        self.dims = dims
+        self.min_fill = min_fill
+        self.layout = PageLayout(page_size=page_size)
+        self.leaf_capacity = self.leaf_capacity_of(dims, self.layout)
+        self.index_capacity = self.index_capacity_of(dims, self.layout)
+        self.nm = self.node_manager_type(store=store, stats=stats)
+        self._root_id = self.nm.allocate()
+        self.nm.put(
+            self._root_id, self.leaf_type(dims, self.leaf_capacity), charge=False
+        )
+        self._height = 1
+        self._count = 0
+
+    # -- introspection ---------------------------------------------------
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def height(self) -> int:
+        """Number of levels (1 = the root is a data page)."""
+        return self._height
+
+    @property
+    def root_id(self) -> int:
+        return self._root_id
+
+    @property
+    def io(self) -> IOStats:
+        """The I/O accountant shared with the page store."""
+        return self.nm.stats
+
+    def pages(self) -> int:
+        """Pages occupied by the index."""
+        return self.nm.store.allocated_pages
+
+    # -- construction and lookup ----------------------------------------
+    @classmethod
+    def from_points(cls, vectors: np.ndarray, oids: np.ndarray | None = None, **kwargs):
+        """Build by repeated insertion (the construction the paper timed).
+
+        ``kwargs`` are constructor options; ``oids`` default to the row
+        numbers."""
+        vectors = np.asarray(vectors, dtype=np.float32)
+        tree = cls(vectors.shape[1], **kwargs)
+        ids = oids if oids is not None else range(len(vectors))
+        for v, oid in zip(vectors, ids):
+            tree.insert(v, int(oid))
+        return tree
+
+    def point_search(self, vector: np.ndarray) -> list[int]:
+        """Object ids stored at exactly ``vector`` (float32 equality)."""
+        v32 = np.asarray(vector, dtype=np.float32).astype(np.float64)
+        return self.range_search(Rect(v32, v32))
+
+    # -- traversal-kernel protocol (repro.engine.kernel) -----------------
+    def trav_root(self):
+        return self._root_id, None
+
+    def trav_node(self, ref: int, charge: bool = True):
+        return self.nm.get(ref, charge=charge)
+
+    def trav_is_leaf(self, node) -> bool:
+        return isinstance(node, self.leaf_type)
+
+    def trav_leaf_points(self, node):
+        return node.points(), node.live_oids()

@@ -18,9 +18,10 @@ The ``source`` can be either of:
   its own :meth:`HybridTree.open` handle;
 - a **live index object** (the hybrid tree or any baseline exposing the
   batch-query API): every worker gets a shallow *query view* of the index —
-  same pages, same object cache, but a private :class:`IOStats` so the
-  per-worker charges can be merged honestly.  Views never write, so
-  thread-mode sharing is safe; process modes are rejected for live indexes
+  same pages and nodes, but its own copy of the node cache and a private
+  :class:`IOStats` so the per-worker charges can be merged honestly.
+  Views never write and never touch the source's cache, so thread-mode
+  sharing is safe; process modes are rejected for live indexes
   because a view cannot be shipped to another process without copying the
   whole structure.
 
@@ -158,11 +159,12 @@ def _open_worker_tree(path: str, mmap: bool):
 def _index_view(index):
     """A read-only query view of a live index for one worker thread.
 
-    Shallow copy sharing the pages and object cache, but with a private
-    accountant (`IOStats`) so each worker's charges merge cleanly.  Paged
-    structures route all I/O through ``index.nm`` (and expose ``io`` as a
-    property of it); scan structures (seqscan, VA-file) hold ``io``
-    directly.
+    Shallow copy sharing the pages, with a private accountant
+    (`IOStats`) so each worker's charges merge cleanly.  Paged structures
+    route all I/O through ``index.nm`` (and expose ``io`` as a property of
+    it), so the view gets :meth:`NodeManager.read_only_view`, which never
+    touches the source's cache; scan structures (seqscan, VA-file) hold
+    ``io`` directly.
 
     A WAL-enabled hybrid tree (``open(..., wal=True)``) gets a *pinned
     snapshot view* instead (:meth:`HybridTree.snapshot_view`): the worker
@@ -176,11 +178,7 @@ def _index_view(index):
     view = copy.copy(index)
     nm = getattr(index, "nm", None)
     if nm is not None:
-        nm_view = copy.copy(nm)
-        nm_view.stats = IOStats()
-        nm_view._dirty = set()
-        nm_view._pinned = set()
-        view.nm = nm_view
+        view.nm = nm.read_only_view()
     else:
         view.io = IOStats()
     return view

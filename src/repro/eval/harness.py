@@ -62,7 +62,6 @@ def build_index(
     ``expected_query_side``, ``min_fill``, ``page_size``).
     """
     data = np.asarray(data, dtype=np.float32)
-    dims = data.shape[1]
     if kind == "scan":
         return SequentialScan.from_points(data, **params)
     if kind.startswith("hybrid"):
@@ -74,10 +73,7 @@ def build_index(
             raise ValueError(f"unknown index kind {kind!r}; expected one of {INDEX_KINDS}")
         if build == "bulk":
             return HybridTree.bulk_load(data, **params)
-        tree = HybridTree(dims, **params)
-        for oid, vector in enumerate(data):
-            tree.insert(vector, oid)
-        return tree
+        return HybridTree.from_points(data, **params)
     classes = {
         "hbtree": HBTree,
         "srtree": SRTree,
@@ -199,13 +195,13 @@ def run_workload_batched(
     The index must expose the batch interface (``range_search_many`` /
     ``distance_range_many``): the hybrid tree serves it with the
     shared-traversal engine, baselines through
-    :class:`repro.baselines.common.BatchQueryMixin`.  Returns an
+    :class:`repro.engine.mixins.BatchQueryMixin`.  Returns an
     :class:`ExperimentResult` (averages, comparable with
     :func:`run_workload`) together with the per-query
     :class:`repro.engine.metrics.BatchMetrics`.
     """
     kind = kind or type(index).__name__
-    scan_pages = sequential_scan_pages(len(index), data.shape[1])
+    scan_pages = sequential_scan_pages(data.shape[0], data.shape[1])
     if scan_cpu_seconds is None:
         scan_cpu_seconds = _scan_cpu_per_query(data, workload)
 
@@ -273,38 +269,7 @@ def run_workload_parallel(
             else type(source).__name__.lower()
         )
         kind = f"{base}[{workers}x{mode}]"
-    scan_pages = sequential_scan_pages(data.shape[0], data.shape[1])
-    if scan_cpu_seconds is None:
-        scan_cpu_seconds = _scan_cpu_per_query(data, workload)
-
     with ParallelQueryEngine(
         source, workers=workers, mode=mode, mmap=mmap
     ) as engine:
-        engine.io.checkpoint()
-        start = time.perf_counter()
-        if workload.kind == "box":
-            results, metrics = engine.range_search_many(
-                workload.boxes(), return_metrics=True
-            )
-        elif workload.kind == "distance":
-            results, metrics = engine.distance_range_many(
-                workload.centers, workload.radii, workload.metric, return_metrics=True
-            )
-        else:
-            raise ValueError(f"unknown workload kind {workload.kind!r}")
-        elapsed = time.perf_counter() - start
-        total_weighted = engine.io.since_checkpoint().weighted_cost()
-
-    n = len(workload)
-    return (
-        ExperimentResult(
-            kind=kind,
-            num_queries=n,
-            avg_disk_accesses=total_weighted / n,
-            avg_cpu_seconds=elapsed / n,
-            avg_result_count=sum(len(r) for r in results) / n,
-            scan_pages=scan_pages,
-            scan_cpu_seconds=scan_cpu_seconds,
-        ),
-        metrics,
-    )
+        return run_workload_batched(engine, data, workload, kind, scan_cpu_seconds)

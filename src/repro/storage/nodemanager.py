@@ -17,6 +17,7 @@ access while the accounting stays identical to a cold, unbuffered disk.
 
 from __future__ import annotations
 
+import copy
 import time
 from collections import OrderedDict
 from typing import Any, Protocol
@@ -192,6 +193,25 @@ class NodeManager:
         self._dirty.discard(page_id)
         self._pinned.discard(page_id)
         self.store.free(page_id)
+
+    def read_only_view(self) -> "NodeManager":
+        """A manager for queries over the same store and nodes.
+
+        The view starts from a copy of this manager's cache, so it sees
+        every node, unsaved changes included, and keeps its own LRU order,
+        dirty set, pins and :class:`IOStats`: nothing it does reorders,
+        evicts or writes back this manager's pages.  Under a bounded cache
+        the pages not yet written back are pinned in the view, because
+        evicting one would drop the only copy of the change.
+        """
+        view = copy.copy(self)
+        view.stats = IOStats()
+        view._cache = OrderedDict(self._cache)
+        view._dirty = set()
+        view._pinned = set(self._dirty) if self.max_cached is not None else set()
+        view._track_written = None
+        view._track_freed = None
+        return view
 
     # ------------------------------------------------------------------
     # Pinning (query sessions keep hot upper-level nodes resident)

@@ -21,7 +21,7 @@ import threading
 from abc import ABC, abstractmethod
 from collections.abc import Iterable
 
-from repro.storage.errors import PageCorruptionError, ReadOnlyStoreError
+from repro.storage.errors import ReadOnlyStoreError
 from repro.storage.iostats import AccessKind, IOStats
 from repro.storage.page import DEFAULT_PAGE_SIZE, unframe_page
 

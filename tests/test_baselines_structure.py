@@ -9,10 +9,37 @@ SS/SR sphere maintenance.
 import numpy as np
 import pytest
 
-from repro.baselines import HBTree, KDBTree, RTree, SRTree, SSTree, SequentialScan
+from repro.baselines import (
+    HBTree,
+    KDBTree,
+    MTree,
+    RTree,
+    SRTree,
+    SSTree,
+    SequentialScan,
+    XTree,
+)
 from repro.baselines.common import EntryLeaf
+from repro.core import HybridTree
 from repro.datasets import clustered_dataset, uniform_dataset
 from repro.geometry.rect import Rect
+
+
+@pytest.mark.parametrize("cls", [HybridTree, RTree, XTree, SSTree, SRTree, MTree])
+class TestMinFill:
+    """Every structure with a utilization guarantee validates it the same way."""
+
+    @pytest.mark.parametrize("min_fill", [0.9, 0.0, -1.0, 0.51])
+    def test_out_of_range_rejected(self, cls, min_fill):
+        with pytest.raises(ValueError, match="min_fill"):
+            cls(4, min_fill=min_fill)
+
+    @pytest.mark.parametrize("min_fill", [0.05, 0.5])
+    def test_in_range_builds(self, cls, min_fill):
+        points = uniform_dataset(300, 4, seed=9)
+        tree = cls.from_points(points, min_fill=min_fill)
+        assert len(tree) == 300
+        assert tree.min_fill == min_fill
 
 
 class TestSequentialScan:

@@ -95,3 +95,26 @@ def test_bench_smoke(capsys):
     assert main(["bench", "--figure", "fig5", "--scale", "0.05"]) == 0
     out = capsys.readouterr().out
     assert "hybrid" in out and "hybrid-vam" in out
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "rtree", "mtree", "scan", "vafile"])
+def test_bench_batch_rows_identical(kind, monkeypatch, capsys):
+    """Every bench-batch row compares the measured single-query loop with
+    the batch engine; on a tiny dataset all of them must agree."""
+    import repro.eval.report as report
+
+    rows = []
+    render = report.render_table
+
+    def capture(table_rows, title=""):
+        rows.extend(table_rows)
+        return render(table_rows, title)
+
+    monkeypatch.setattr(report, "render_table", capture)
+    assert main([
+        "bench-batch", "--index", kind, "--dataset", "uniform", "--count", "400",
+        "--dims", "4", "--queries", "20", "--k", "3", "--selectivity", "0.05",
+    ]) == 0
+    capsys.readouterr()
+    assert len(rows) >= 2
+    assert all(row["identical"] is True for row in rows), rows

@@ -11,7 +11,7 @@ import pytest
 
 from repro.baselines import RTree, SequentialScan
 from repro.core import HybridTree
-from repro.datasets import colhist_dataset, range_workload
+from repro.datasets import colhist_dataset, distance_workload, range_workload
 from repro.distances import L1, L2, WeightedEuclidean
 from repro.engine import (
     BatchMetrics,
@@ -20,7 +20,7 @@ from repro.engine import (
     ascii_histogram,
 )
 from repro.engine.mixins import KernelQueryMixin
-from repro.eval import run_workload, run_workload_batched
+from repro.eval import run_workload, run_workload_batched, run_workload_parallel
 from repro.geometry.rect import Rect
 from tests.conftest import random_boxes
 
@@ -288,6 +288,24 @@ class TestHarnessBatched:
         assert batched.num_queries == loop.num_queries
         assert metrics.num_queries == len(workload)
         assert batched.avg_disk_accesses < loop.avg_disk_accesses
+
+    @pytest.mark.parametrize("kind", ["box", "distance"])
+    def test_parallel_matches_batched(self, tmp_path, kind):
+        data = colhist_dataset(1200, 16, seed=3)
+        path = str(tmp_path / "t.pages")
+        HybridTree.bulk_load(data).save(path)
+        make = range_workload if kind == "box" else distance_workload
+        workload = make(data, 20, 0.01, seed=4)
+        batched, batch_metrics = run_workload_batched(
+            HybridTree.open(path), data, workload, kind="hybrid", scan_cpu_seconds=1.0
+        )
+        parallel, metrics = run_workload_parallel(
+            path, data, workload, workers=2, kind="hybrid", scan_cpu_seconds=1.0
+        )
+        assert parallel.num_queries == batched.num_queries == len(workload)
+        assert parallel.avg_result_count == batched.avg_result_count
+        assert parallel.scan_pages == batched.scan_pages
+        assert np.array_equal(metrics.pages, batch_metrics.pages)
 
 
 def test_tree_batch_methods_are_the_kernel_mixins():

@@ -396,6 +396,45 @@ class TestBoundedNodeManager:
         small.range_search(Rect.unit(6))
         assert 999_999 in small.point_search(v)
 
+    def test_thread_views_keep_unsaved_writes(self, tmp_path):
+        """Regression: thread-worker views shared the source's bounded
+        cache, so a view's miss could evict a page the source had changed
+        and not written back, dropping the change."""
+        from repro.core import HybridTree
+        from repro.datasets import uniform_dataset
+        from repro.engine.parallel import ParallelQueryEngine
+        from repro.geometry.rect import Rect
+
+        data = uniform_dataset(3000, 8, seed=13)
+        path = str(tmp_path / "t.pages")
+        HybridTree.bulk_load(data[:2000]).save(path)
+        tree = HybridTree.open(path, buffer_pages=8)
+        for oid in range(2000, 3000):
+            tree.insert(data[oid], oid)
+        rng = np.random.default_rng(5)
+        lows = rng.uniform(0.0, 0.8, size=(64, 8))
+        boxes = [Rect(lo, lo + 0.2) for lo in lows]
+        with ParallelQueryEngine(tree, workers=2, mode="thread") as engine:
+            engine.range_search_many(boxes)
+        assert sorted(tree.range_search(Rect.unit(8))) == list(range(3000))
+
+    def test_read_only_view_leaves_source_untouched(self, tmp_path):
+        from repro.core import HybridTree
+        from repro.geometry.rect import Rect
+
+        path, tree, box = self._saved_tree(tmp_path)
+        small = HybridTree.open(path, buffer_pages=6)
+        small.insert(np.full(6, 0.5, dtype=np.float32), 999_999)
+        order, dirty = list(small.nm._cache), set(small.nm._dirty)
+        view = small.nm.read_only_view()
+        for pid in range(small.pages()):
+            view.get(pid, charge=False)
+        assert list(small.nm._cache) == order
+        assert small.nm._dirty == dirty
+        assert view.stats is not small.nm.stats
+        small.range_search(Rect.unit(6))
+        assert 999_999 in small.point_search(np.full(6, 0.5))
+
 
 class TestPinning:
     def test_pin_charges_once_then_free(self):
