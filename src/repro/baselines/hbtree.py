@@ -44,7 +44,7 @@ from repro.core import kdnodes
 from repro.core.kdnodes import KDInternal, KDLeaf, KDNode
 from repro.core.splits import choose_data_split
 from repro.distances import Metric, mindist_rect_many
-from repro.engine.kernel import ChildBound
+from repro.engine.kernel import ChildBound, StackedBounds
 from repro.engine.mixins import PagedIndex
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
@@ -265,12 +265,16 @@ class HBTree(PagedIndex):
         return self._root_id, self.bounds
 
     def trav_children(self, node, region):
-        out = []
+        refs: list[int] = []
+        regions: list[Rect] = []
+        bounds: list[_HBBound] = []
         path0 = Rect(np.full(self.dims, -np.inf), np.full(self.dims, np.inf))
 
         def walk(kd: KDNode, reg: Rect, path: Rect) -> None:
             if isinstance(kd, KDLeaf):
-                out.append((kd.child_id, reg, _HBBound(path, reg)))
+                refs.append(kd.child_id)
+                regions.append(reg)
+                bounds.append(_HBBound(path, reg))
                 return
             walk(
                 kd.left,
@@ -284,7 +288,7 @@ class HBTree(PagedIndex):
             )
 
         walk(node.kd_root, region, path0)
-        return out
+        return refs, regions, StackedBounds(bounds)
 
     # ------------------------------------------------------------------
     # Structural measurements

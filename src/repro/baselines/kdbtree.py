@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.common import EntryLeaf, check_vector
-from repro.engine.kernel import RectBound
+from repro.engine.kernel import RectBounds
 from repro.engine.mixins import PagedIndex
 from repro.geometry.rect import Rect
 from repro.storage.iostats import IOStats
@@ -218,7 +218,11 @@ class KDBTree(PagedIndex):
     # Queries: the traversal kernel (KernelQueryMixin) over the protocol
     # ------------------------------------------------------------------
     def trav_children(self, node, ctx):
-        return [(child_id, None, RectBound(rect)) for child_id, rect in node.entries]
+        return (
+            [child_id for child_id, _ in node.entries],
+            None,
+            RectBounds.of_rects([rect for _, rect in node.entries]),
+        )
 
     # ------------------------------------------------------------------
     # Structural measurements (Table 1 evidence)

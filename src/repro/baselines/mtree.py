@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.baselines.common import EntryLeaf, check_vector
 from repro.distances import L2, Metric
-from repro.engine.kernel import ChildBound
+from repro.engine.kernel import ChildBound, StackedBounds
 from repro.engine.mixins import PagedIndex
 from repro.storage.iostats import IOStats
 from repro.storage.page import FLOAT_SIZE, OID_SIZE, PAGE_ID_SIZE, PageLayout
@@ -317,4 +317,8 @@ class MTree(PagedIndex):
         self._check_metric(metric)
 
     def trav_children(self, node, ctx):
-        return [(entry.child_id, None, _RouterBound(entry)) for entry in node.entries]
+        return (
+            [entry.child_id for entry in node.entries],
+            None,
+            StackedBounds([_RouterBound(entry) for entry in node.entries]),
+        )

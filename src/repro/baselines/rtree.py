@@ -17,7 +17,7 @@ from repro.baselines.common import (
     check_vector,
     quadratic_partition,
 )
-from repro.engine.kernel import RectBound
+from repro.engine.kernel import RectBounds
 from repro.engine.mixins import PagedIndex
 from repro.geometry.rect import Rect
 from repro.storage.page import rtree_node_capacity
@@ -271,4 +271,8 @@ class RTree(PagedIndex):
     # Queries: the traversal kernel (KernelQueryMixin) over the protocol
     # ------------------------------------------------------------------
     def trav_children(self, node, ctx):
-        return [(child_id, None, RectBound(rect)) for child_id, rect in node.entries]
+        return (
+            [child_id for child_id, _ in node.entries],
+            None,
+            RectBounds.of_rects([rect for _, rect in node.entries]),
+        )

@@ -37,7 +37,7 @@ from repro.baselines.common import (
 )
 from repro.baselines.sstree import _is_euclidean
 from repro.distances import Metric
-from repro.engine.kernel import ChildBound
+from repro.engine.kernel import ChildBound, StackedBounds
 from repro.engine.mixins import PagedIndex
 from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
@@ -259,4 +259,8 @@ class SRTree(PagedIndex):
     # Queries: the traversal kernel (KernelQueryMixin) over the protocol
     # ------------------------------------------------------------------
     def trav_children(self, node, ctx):
-        return [(entry.child_id, None, _SRBound(entry)) for entry in node.entries]
+        return (
+            [entry.child_id for entry in node.entries],
+            None,
+            StackedBounds([_SRBound(entry) for entry in node.entries]),
+        )

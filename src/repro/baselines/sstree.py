@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.baselines.common import EntryLeaf, check_vector
 from repro.distances import LpMetric, Metric
-from repro.engine.kernel import ChildBound
+from repro.engine.kernel import ChildBound, StackedBounds
 from repro.engine.mixins import PagedIndex
 from repro.geometry.rect import Rect
 from repro.geometry.sphere import Sphere
@@ -204,7 +204,8 @@ class SSTree(PagedIndex):
         self._require_euclidean(metric)
 
     def trav_children(self, node, ctx):
-        return [
-            (entry.child_id, None, _SphereBound(entry.sphere))
-            for entry in node.entries
-        ]
+        return (
+            [entry.child_id for entry in node.entries],
+            None,
+            StackedBounds([_SphereBound(entry.sphere) for entry in node.entries]),
+        )

@@ -17,6 +17,7 @@ from repro.core.splits import (
     POLICY_VAM,
     POSITION_MEDIAN,
     POSITION_MIDDLE,
+    RoundRobin,
     bipartition_intervals,
     choose_data_split,
     choose_index_split,
@@ -34,6 +35,7 @@ __all__ = [
     "POLICY_VAM",
     "POSITION_MEDIAN",
     "POSITION_MIDDLE",
+    "RoundRobin",
     "TreeStats",
     "bipartition_intervals",
     "choose_data_split",

@@ -102,6 +102,7 @@ def _bulk_load_inner(tree, vectors: np.ndarray, oids: np.ndarray, n: int) -> int
             tree.min_fill,
             tree.split_policy,
             tree.split_position,
+            tree.rr,
         )
         pos = float(np.float32(split.position))
         left = build_data_level(indices[split.left_indices])

@@ -20,6 +20,38 @@ import numpy as np
 from repro.geometry.rect import Rect
 
 
+def quantize_live_rows(
+    live_low: np.ndarray,
+    live_high: np.ndarray,
+    region_low: np.ndarray,
+    region_high: np.ndarray,
+    bits: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`quantize_live_rect` over arrays: one box per row.
+
+    Every operation is element-wise, so row ``j`` of ``(m, dims)`` inputs is
+    bit-identical to quantizing that box alone (and 1-d inputs are one box).
+    """
+    if not 0 <= bits <= 16:
+        raise ValueError("bits must be in [0, 16]")
+    if bits == 0:
+        return region_low, region_high
+    cells = float(1 << bits)
+    extent = region_high - region_low
+    # Degenerate region sides (extent 0) encode trivially to themselves.
+    safe = np.where(extent > 0, extent, 1.0)
+    lo_cell = np.floor((live_low - region_low) / safe * cells)
+    hi_cell = np.ceil((live_high - region_low) / safe * cells)
+    lo_cell = np.clip(lo_cell, 0, cells)
+    hi_cell = np.clip(hi_cell, lo_cell, cells)
+    low = region_low + lo_cell / cells * extent
+    high = region_low + hi_cell / cells * extent
+    # Guard against float round-off pushing boundaries inside the live box.
+    low = np.minimum(low, live_low)
+    high = np.maximum(high, live_high)
+    return np.maximum(low, region_low), np.minimum(high, region_high)
+
+
 def quantize_live_rect(live: Rect, region: Rect, bits: int) -> Rect:
     """Snap ``live`` outward onto the ``2^bits`` grid of ``region``.
 
@@ -28,24 +60,8 @@ def quantize_live_rect(live: Rect, region: Rect, bits: int) -> Rect:
     to the region itself (ELS disabled); ``bits`` is capped at 16 as in the
     serialized format.
     """
-    if not 0 <= bits <= 16:
-        raise ValueError("bits must be in [0, 16]")
-    if bits == 0:
-        return region
-    cells = float(1 << bits)
-    extent = region.high - region.low
-    # Degenerate region sides (extent 0) encode trivially to themselves.
-    safe = np.where(extent > 0, extent, 1.0)
-    lo_cell = np.floor((live.low - region.low) / safe * cells)
-    hi_cell = np.ceil((live.high - region.low) / safe * cells)
-    lo_cell = np.clip(lo_cell, 0, cells)
-    hi_cell = np.clip(hi_cell, lo_cell, cells)
-    low = region.low + lo_cell / cells * extent
-    high = region.low + hi_cell / cells * extent
-    # Guard against float round-off pushing boundaries inside the live box.
-    low = np.minimum(low, live.low)
-    high = np.maximum(high, live.high)
-    return Rect(np.maximum(low, region.low), np.minimum(high, region.high))
+    low, high = quantize_live_rows(live.low, live.high, region.low, region.high, bits)
+    return region if bits == 0 else Rect(low, high)
 
 
 def encode_cells(live: Rect, region: Rect, bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -68,6 +84,10 @@ class ELSTable:
     matches a ``bits``-per-boundary code while updates stay cheap.  Live
     boxes only ever grow on insert and are left stale (a superset) on delete,
     preserving the superset safety property; ``recompute`` tightens them.
+
+    ``generation`` counts the changes :meth:`set`, :meth:`merge_point` and
+    :meth:`drop` make: pruning boxes compiled from this table (a hybrid-tree
+    index node's child table) stay valid while it is unchanged.
     """
 
     def __init__(self, dims: int, bits: int):
@@ -75,6 +95,7 @@ class ELSTable:
             raise ValueError("bits must be in [0, 16]")
         self.dims = dims
         self.bits = bits
+        self.generation = 0
         self._live: dict[int, Rect] = {}
         self._track: set[int] | None = None
 
@@ -94,17 +115,20 @@ class ELSTable:
         self._track = None
         return {node_id: self._live.get(node_id) for node_id in touched}
 
-    def set(self, node_id: int, live: Rect) -> None:
+    def _touch(self, node_id: int) -> None:
+        self.generation += 1
         if self._track is not None:
             self._track.add(node_id)
+
+    def set(self, node_id: int, live: Rect) -> None:
+        self._touch(node_id)
         self._live[node_id] = live
 
     def get(self, node_id: int) -> Rect | None:
         return self._live.get(node_id)
 
     def drop(self, node_id: int) -> None:
-        if self._track is not None:
-            self._track.add(node_id)
+        self._touch(node_id)
         self._live.pop(node_id, None)
 
     def copy(self) -> "ELSTable":
@@ -123,8 +147,7 @@ class ELSTable:
 
     def merge_point(self, node_id: int, point: np.ndarray) -> None:
         """Grow a node's live box to absorb a newly inserted point."""
-        if self._track is not None:
-            self._track.add(node_id)
+        self._touch(node_id)
         live = self._live.get(node_id)
         self._live[node_id] = (
             live.merge_point(point)
@@ -145,6 +168,33 @@ class ELSTable:
             # A stale live box can drift outside a shrunk region; fall back.
             return region
         return quantize_live_rect(clipped, region, self.bits)
+
+    def effective_rows(
+        self, node_ids: list[int], lows: np.ndarray, highs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`effective_rect` for many nodes at once.
+
+        Row ``j`` of the ``(m, dims)`` result is bit-identical to
+        ``effective_rect(node_ids[j], Rect(lows[j], highs[j]))``: the same
+        clip, fallback and quantization, as element-wise array operations.
+        """
+        if not self.enabled:
+            return lows, highs
+        live = [self._live.get(node_id) for node_id in node_ids]
+        known = np.array([box is not None for box in live], dtype=bool)
+        live_low = np.array(
+            [box.low if box is not None else lo for box, lo in zip(live, lows)]
+        ).reshape(lows.shape)
+        live_high = np.array(
+            [box.high if box is not None else hi for box, hi in zip(live, highs)]
+        ).reshape(highs.shape)
+        clip_low = np.maximum(live_low, lows)
+        clip_high = np.minimum(live_high, highs)
+        # Unknown nodes, and stale live boxes outside a shrunk region, fall
+        # back to the region itself.
+        use = (known & ~np.any(clip_low > clip_high, axis=1))[:, None]
+        q_low, q_high = quantize_live_rows(clip_low, clip_high, lows, highs, self.bits)
+        return np.where(use, q_low, lows), np.where(use, q_high, highs)
 
     @property
     def memory_bytes(self) -> int:

@@ -19,6 +19,7 @@ be saved to / reopened from a real page file.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import io
 import itertools
@@ -36,13 +37,14 @@ from repro.core.kdnodes import KDInternal, KDLeaf, KDNode
 from repro.core.nodes import MAX_OID, DataNode, IndexNode, OidRangeError
 from repro.core.splits import (
     POLICY_EDA,
-    POLICY_RR,
     POSITION_MIDDLE,
+    RoundRobin,
     choose_data_split,
     choose_index_split,
-    reset_round_robin,
 )
 from repro.distances import L2, Metric
+from repro.engine import kernel as object_kernel
+from repro.engine.kernel import RectBounds, merge_knn
 from repro.engine.mixins import KernelQueryMixin, PagedIndex
 from repro.geometry.rect import Rect
 from repro.storage import superblock as superblock_io
@@ -75,6 +77,44 @@ def _save_store(path: str, page_size: int) -> FilePageStore:
 def _f32(x: float) -> float:
     """Round a split position to float32, the precision pages store."""
     return float(np.float32(x))
+
+
+class ChildTable(RectBounds):
+    """One index node's children compiled to flat arrays (paper §3.4).
+
+    ``ids`` lists the child page ids in kd order, left to right; ``lows`` /
+    ``highs`` hold their ELS-effective pruning boxes as ``(m, dims)`` rows,
+    bit-identical to :meth:`ELSTable.effective_rect`, so one array op
+    prunes every child.  ``regions`` holds the children's derived kd
+    regions where the children are index nodes, and ``None`` for data-node
+    children (a data-node visit never reads its region).  The table is
+    valid for the region and the ELS state (table object and generation)
+    it was built from.
+    """
+
+    __slots__ = ("ids", "regions", "region", "els", "els_generation")
+
+    def __init__(self, node: IndexNode, region: Rect, els: ELSTable):
+        self.els = els
+        self.els_generation = els.generation  # read first: a later change invalidates
+        self.region = region
+        leaves, lows, highs = kdnodes.leaf_region_arrays(
+            node.kd_root, region.low, region.high
+        )
+        self.ids = [leaf.child_id for leaf in leaves]
+        super().__init__(*els.effective_rows(self.ids, lows, highs))
+        self.regions = (
+            [Rect(lo, hi) for lo, hi in zip(lows, highs)]
+            if node.level > 1
+            else [None] * len(self.ids)
+        )
+
+    def valid_for(self, region: Rect, els: ELSTable) -> bool:
+        return (
+            self.els is els
+            and self.els_generation == els.generation
+            and (self.region is region or self.region == region)
+        )
 
 
 class HybridTree(PagedIndex):
@@ -140,8 +180,7 @@ class HybridTree(PagedIndex):
         self.bounds = bounds if bounds is not None else Rect.unit(dims)
         if self.bounds.dims != dims:
             raise ValueError("bounds dimensionality mismatch")
-        if split_policy == POLICY_RR:
-            reset_round_robin()
+        self.rr = RoundRobin()
         if on_corruption not in ON_CORRUPTION_POLICIES:
             raise ValueError(f"on_corruption must be one of {ON_CORRUPTION_POLICIES}")
         self.on_corruption = on_corruption
@@ -232,22 +271,10 @@ class HybridTree(PagedIndex):
         node = self.nm.get(node_id)
         if isinstance(node, DataNode):
             return [(node_id, node, region)]
-        containing: list[tuple[float, int, Rect]] = []
-
-        def collect(kd: KDNode, kd_region: Rect) -> None:
-            if isinstance(kd, KDLeaf):
-                containing.append((kd_region.volume(), kd.child_id, kd_region))
-                return
-            x = v[kd.dim]
-            if x <= kd.lsp:
-                collect(kd.left, kd_region.clip_below(kd.dim, kd.lsp))
-            if x >= kd.rsp:
-                collect(kd.right, kd_region.clip_above(kd.dim, kd.rsp))
-
-        collect(node.kd_root, region)
+        containing = self._containing_leaves(node, region, v)
         containing.sort(key=lambda t: t[0])
-        for _, child_id, child_region in containing:
-            sub = self._containment_descent(child_id, child_region, v)
+        for _, leaf, child_region in containing:
+            sub = self._containment_descent(leaf.child_id, child_region, v)
             if sub is not None:
                 return [(node_id, node, region)] + sub
         return None
@@ -373,6 +400,7 @@ class HybridTree(PagedIndex):
                     "root_id": self._root_id,
                     "height": self._height,
                     "bounds": [self.bounds.low.tolist(), self.bounds.high.tolist()],
+                    "rr_next": self.rr.next,
                     "els": {
                         str(nid): (
                             None
@@ -414,19 +442,9 @@ class HybridTree(PagedIndex):
 
         with self._commit_lock:  # pin only at a transaction boundary
             store = SnapshotPageStore(self.nm.store)
-            view = type(self).__new__(type(self))
-            view.dims = self.dims
-            view.layout = self.layout
-            view.leaf_capacity = self.leaf_capacity
-            view.index_capacity = self.index_capacity
-            view.min_fill = self.min_fill
-            view.split_policy = self.split_policy
-            view.split_position = self.split_position
-            view.expected_query_side = self.expected_query_side
-            view.bounds = self.bounds
-            view.on_corruption = self.on_corruption
+            view = copy.copy(self)
+            view.rr = RoundRobin(self.rr.next)
             view.degraded_queries = 0
-            view.source_path = self.source_path
             view.read_only = True
             view.modified_since_save = False
             view.nm = NodeManager(
@@ -437,9 +455,6 @@ class HybridTree(PagedIndex):
                 stats=store.stats,
             )
             view.els = self.els.copy()
-            view._root_id = self._root_id
-            view._height = self._height
-            view._count = self._count
             view._soa_snapshot = None
             view._soa_load_error = None
             view._init_wal_state()
@@ -487,19 +502,7 @@ class HybridTree(PagedIndex):
         path are widened to absorb the point — the hybrid-tree analogue of
         R-tree region enlargement.
         """
-        containing: list[tuple[float, KDLeaf, Rect]] = []
-
-        def collect(kd: KDNode, kd_region: Rect) -> None:
-            if isinstance(kd, KDLeaf):
-                containing.append((kd_region.volume(), kd, kd_region))
-                return
-            x = point[kd.dim]
-            if x <= kd.lsp:
-                collect(kd.left, kd_region.clip_below(kd.dim, kd.lsp))
-            if x >= kd.rsp:
-                collect(kd.right, kd_region.clip_above(kd.dim, kd.rsp))
-
-        collect(node.kd_root, region)
+        containing = self._containing_leaves(node, region, point)
         if containing:
             _, leaf, leaf_region = min(containing, key=lambda t: t[0])
             return leaf.child_id, leaf_region
@@ -516,6 +519,27 @@ class HybridTree(PagedIndex):
         self._widen_path_to(node.kd_root, best_leaf_id, point)
         leaf_region = kdnodes.region_of_child(node.kd_root, region, best_leaf_id)
         return best_leaf_id, leaf_region
+
+    @staticmethod
+    def _containing_leaves(
+        node: IndexNode, region: Rect, point: np.ndarray
+    ) -> list[tuple[float, KDLeaf, Rect]]:
+        """``(volume, kd leaf, region)`` of every child whose derived region
+        contains ``point``, in kd order."""
+        containing: list[tuple[float, KDLeaf, Rect]] = []
+
+        def collect(kd: KDNode, kd_region: Rect) -> None:
+            if isinstance(kd, KDLeaf):
+                containing.append((kd_region.volume(), kd, kd_region))
+                return
+            x = point[kd.dim]
+            if x <= kd.lsp:
+                collect(kd.left, kd_region.clip_below(kd.dim, kd.lsp))
+            if x >= kd.rsp:
+                collect(kd.right, kd_region.clip_above(kd.dim, kd.rsp))
+
+        collect(node.kd_root, region)
+        return containing
 
     def _widen_path_to(self, kd: KDNode, child_id: int, point: np.ndarray) -> bool:
         """Adjust lsp/rsp along the path to ``child_id`` so its region
@@ -547,7 +571,7 @@ class HybridTree(PagedIndex):
         points = np.vstack([node.points(), np.asarray(vector, dtype=np.float32)])
         oids = np.append(node.live_oids(), np.uint32(oid))
         split = choose_data_split(
-            points, self.min_fill, self.split_policy, self.split_position
+            points, self.min_fill, self.split_policy, self.split_position, self.rr
         )
         left = DataNode(self.dims, self.leaf_capacity)
         right = DataNode(self.dims, self.leaf_capacity)
@@ -567,7 +591,11 @@ class HybridTree(PagedIndex):
         node_id, node, region = path.pop()
         children = node.children_with_regions(region)
         split = choose_index_split(
-            children, self.min_fill, self.expected_query_side, self.split_policy
+            children,
+            self.min_fill,
+            self.expected_query_side,
+            self.split_policy,
+            self.rr,
         )
         left_kd = kdnodes.prune_to_children(node.kd_root, set(split.left_ids))
         right_kd = kdnodes.prune_to_children(node.kd_root, set(split.right_ids))
@@ -683,13 +711,24 @@ class HybridTree(PagedIndex):
                     return path, node_id, node, idx
                 continue
             new_path = path + [(node_id, node, region)]
-            for child_id, child_region in node.children_with_regions(region):
-                if not child_region.contains_point(v):
-                    continue
-                live = self.els.effective_rect(child_id, child_region)
-                if live.contains_point(v):
-                    stack.append((child_id, child_region, new_path))
+            # The effective boxes lie inside the child regions, so one
+            # containment test against them covers both.
+            table = self._child_table(node, region)
+            for j in np.flatnonzero(table.box_mask(v[None, :], v[None, :])[0]):
+                stack.append((table.ids[j], table.regions[j], new_path))
         return None
+
+    def _child_table(self, node: IndexNode, region: Rect) -> ChildTable:
+        """``node``'s compiled child table for ``region``, rebuilt only when
+        the node, its region or the ELS table changed since the last build.
+
+        Idempotent, and installed with one attribute store, so thread
+        views sharing the node objects only ever see a whole table."""
+        table = node.compiled
+        if table is None or not table.valid_for(region, self.els):
+            table = ChildTable(node, region, self.els)
+            node.compiled = table
+        return table
 
     def _remove_child(
         self, path: list[tuple[int, IndexNode, Rect]], child_id: int
@@ -776,37 +815,9 @@ class HybridTree(PagedIndex):
     # ------------------------------------------------------------------
     def range_search(self, query: Rect) -> list[int]:
         """Object ids of all points inside the closed box ``query``."""
-        if query.dims != self.dims:
-            raise ValueError("query dimensionality mismatch")
-        results: list[np.ndarray] = []
-
-        def visit(node_id: int, region: Rect) -> None:
-            node = self.nm.get(node_id)
-            if isinstance(node, DataNode):
-                if node.count:
-                    mask = query.contains_points_mask(node.points())
-                    if mask.any():
-                        results.append(node.live_oids()[mask])
-                return
-            walk(node.kd_root, region)
-
-        def walk(kd: KDNode, region: Rect) -> None:
-            if isinstance(kd, KDLeaf):
-                live = self.els.effective_rect(kd.child_id, region)
-                if query.intersects(live):
-                    visit(kd.child_id, region)
-                return
-            if query.low[kd.dim] <= kd.lsp:
-                walk(kd.left, region.clip_below(kd.dim, kd.lsp))
-            if query.high[kd.dim] >= kd.rsp:
-                walk(kd.right, region.clip_above(kd.dim, kd.rsp))
-
-        try:
-            visit(self._root_id, self.bounds)
-        except PageCorruptionError as exc:
-            vectors, oids = self._degrade(exc)
-            return [int(o) for o in oids[query.contains_points_mask(vectors)]]
-        return [int(o) for arr in results for o in arr]
+        # The kernel at batch size one, called through its module (like
+        # the batch dispatch) so a single query is not also a batch call.
+        return object_kernel.kernel_range_search_many(self, [query])[0]
 
     def distance_range(
         self, query: np.ndarray, radius: float, metric: Metric = L2
@@ -815,43 +826,9 @@ class HybridTree(PagedIndex):
         ``metric`` — the paper's distance-based range query, usable with a
         different metric on every call."""
         q = self._check_vector(query)
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        out: list[tuple[int, float]] = []
-
-        def visit(node_id: int, region: Rect) -> None:
-            node = self.nm.get(node_id)
-            if isinstance(node, DataNode):
-                if node.count:
-                    dists = metric.distance_batch(node.points().astype(np.float64), q)
-                    for i in np.flatnonzero(dists <= radius):
-                        out.append((int(node.live_oids()[i]), float(dists[i])))
-                return
-            walk(node.kd_root, region)
-
-        def walk(kd: KDNode, region: Rect) -> None:
-            if isinstance(kd, KDLeaf):
-                live = self.els.effective_rect(kd.child_id, region)
-                if metric.mindist_rect(q, live.low, live.high) <= radius:
-                    visit(kd.child_id, region)
-                return
-            left_region = region.clip_below(kd.dim, kd.lsp)
-            if metric.mindist_rect(q, left_region.low, left_region.high) <= radius:
-                walk(kd.left, left_region)
-            right_region = region.clip_above(kd.dim, kd.rsp)
-            if metric.mindist_rect(q, right_region.low, right_region.high) <= radius:
-                walk(kd.right, right_region)
-
-        try:
-            visit(self._root_id, self.bounds)
-        except PageCorruptionError as exc:
-            vectors, oids = self._degrade(exc)
-            dists = metric.distance_batch(vectors.astype(np.float64), q)
-            return [
-                (int(oids[i]), float(dists[i]))
-                for i in np.flatnonzero(dists <= radius)
-            ]
-        return out
+        return object_kernel.kernel_distance_range_many(
+            self, q[None, :], radius, metric
+        )[0]
 
     def knn(
         self,
@@ -878,51 +855,35 @@ class HybridTree(PagedIndex):
         frontier: list[tuple[float, int, int, Rect]] = [
             (0.0, next(counter), self._root_id, self.bounds)
         ]
-        # Max-heap of the best k, keyed by (distance, oid) with both parts
-        # negated so the root is the *worst* retained neighbour.  The oid
-        # component breaks kth-distance ties deterministically (smallest oid
-        # wins), so repeated runs — and the batch engine — agree exactly.
-        best: list[tuple[float, int]] = []
-
-        def kth() -> float:
-            return -best[0][0] if len(best) >= k else np.inf
-
+        # The best k so far under the (distance, oid) order the kernels use
+        # (kth-distance ties keep the smallest oids, so repeated runs and the
+        # batch engine agree exactly), as one query's row of merge_knn state.
+        best_d, best_o, kth = [np.empty(0)], [np.empty(0, dtype=np.int64)], np.full(1, np.inf)
         try:
             while frontier:
                 bound, _, node_id, region = heapq.heappop(frontier)
-                if bound > kth() * shrink:
+                if bound > kth[0] * shrink:
                     break
                 node = self.nm.get(node_id)
                 if isinstance(node, DataNode):
-                    if not node.count:
-                        continue
-                    dists = metric.distance_batch(node.points().astype(np.float64), q)
-                    for i, dist in enumerate(dists):
-                        dist = float(dist)
-                        oid = int(node.live_oids()[i])
-                        if len(best) < k:
-                            heapq.heappush(best, (-dist, -oid))
-                        elif (dist, oid) < (-best[0][0], -best[0][1]):
-                            heapq.heapreplace(best, (-dist, -oid))
+                    if node.count:
+                        dists = metric.distance_batch(node.points().astype(np.float64), q)
+                        merge_knn(best_d, best_o, kth, 0, dists, node.live_oids(), k)
                     continue
-                for child_id, child_region in node.children_with_regions(region):
-                    live = self.els.effective_rect(child_id, child_region)
-                    child_bound = metric.mindist_rect(q, live.low, live.high)
-                    if child_bound <= kth() * shrink:
-                        heapq.heappush(
-                            frontier,
-                            (child_bound, next(counter), child_id, child_region),
-                        )
+                table = self._child_table(node, region)
+                bounds = table.mindist(q[None, :], metric)[0]
+                for j in np.flatnonzero(bounds <= kth[0] * shrink):
+                    heapq.heappush(
+                        frontier,
+                        (float(bounds[j]), next(counter), table.ids[j], table.regions[j]),
+                    )
         except PageCorruptionError as exc:
             vectors, oids = self._degrade(exc)
             dists = metric.distance_batch(vectors.astype(np.float64), q)
             # Same deterministic (distance, oid) order the traversal returns.
             order = np.lexsort((oids, dists))[:k]
             return [(int(oids[i]), float(dists[i])) for i in order]
-        return sorted(
-            ((-neg_oid, -neg_dist) for neg_dist, neg_oid in best),
-            key=lambda t: (t[1], t[0]),
-        )
+        return [(int(o), float(d)) for o, d in zip(best_o[0], best_d[0])]
 
     def nearest_iter(self, query: np.ndarray, metric: Metric = L2):
         """Yield ``(oid, distance)`` in non-decreasing distance order.
@@ -955,11 +916,12 @@ class HybridTree(PagedIndex):
                             (float(dist), next(counter), 0, int(node.live_oids()[i])),
                         )
                 continue
-            for child_id, child_region in node.children_with_regions(region):
-                live = self.els.effective_rect(child_id, child_region)
-                bound = metric.mindist_rect(q, live.low, live.high)
+            table = self._child_table(node, region)
+            bounds = table.mindist(q[None, :], metric)[0]
+            for j, child_id in enumerate(table.ids):
                 heapq.heappush(
-                    heap, (bound, next(counter), 1, (child_id, child_region))
+                    heap,
+                    (float(bounds[j]), next(counter), 1, (child_id, table.regions[j])),
                 )
 
     def count_range(self, query: Rect) -> int:
@@ -1062,20 +1024,11 @@ class HybridTree(PagedIndex):
         return self._root_id, self.bounds
 
     def trav_children(self, node, region):
-        from repro.engine.kernel import RectBound
-
-        # The child's pruning bound is its ELS-quantized live-space box
-        # clipped to the derived region — the same rect the single-query
-        # paths test; the kd split tests are subsumed because the
-        # effective rect is contained in every region along the kd path.
-        return [
-            (
-                child_id,
-                child_region,
-                RectBound(self.els.effective_rect(child_id, child_region)),
-            )
-            for child_id, child_region in node.children_with_regions(region)
-        ]
+        # The children's pruning boxes are their ELS-quantized live-space
+        # boxes clipped to their derived regions; the kd split tests are
+        # subsumed because each box lies inside every region on its kd path.
+        table = self._child_table(node, region)
+        return table.ids, table.regions, table
 
     def trav_degrade(self, exc: PageCorruptionError):
         return self._degrade(exc)
@@ -1174,6 +1127,7 @@ class HybridTree(PagedIndex):
                 "dims": self.dims,
                 "min_fill": self.min_fill,
                 "split_policy": self.split_policy,
+                "rr_next": self.rr.next,
                 "split_position": self.split_position,
                 "els_bits": self.els.bits,
                 "expected_query_side": self.expected_query_side,
@@ -1311,6 +1265,7 @@ class HybridTree(PagedIndex):
         tree.index_capacity = kdtree_node_capacity(tree.dims, tree.layout)
         tree.min_fill = manifest["min_fill"]
         tree.split_policy = manifest["split_policy"]
+        tree.rr = RoundRobin(int(manifest.get("rr_next", 0)))
         tree.split_position = manifest["split_position"]
         tree.expected_query_side = manifest["expected_query_side"]
         tree.bounds = Rect(blob["bounds_low"], blob["bounds_high"])
@@ -1388,6 +1343,8 @@ class HybridTree(PagedIndex):
             self._root_id = int(meta["root_id"])
         if "height" in meta:
             self._height = int(meta["height"])
+        if "rr_next" in meta:
+            self.rr.next = int(meta["rr_next"])
         if "bounds" in meta:
             low, high = meta["bounds"]
             self.bounds = Rect(

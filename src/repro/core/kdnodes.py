@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro.geometry.rect import Rect
 
 
@@ -124,18 +126,46 @@ def child_ids(node: KDNode) -> list[int]:
     return [leaf.child_id for leaf in iter_leaves(node)]
 
 
-def leaves_with_regions(node: KDNode, region: Rect) -> Iterator[tuple[KDLeaf, Rect]]:
+def leaves_with_regions(node: KDNode, region: Rect) -> list[tuple[KDLeaf, Rect]]:
     """The Section 3.1 mapping: derive each child's bounding region.
 
     Given the index node's own region, the left child of a split on
     ``(dim, lsp, rsp)`` gets ``region ∩ {x_dim <= lsp}`` and the right child
     ``region ∩ {x_dim >= rsp}``; applied recursively down to the kd leaves.
     """
-    if isinstance(node, KDLeaf):
-        yield node, region
-        return
-    yield from leaves_with_regions(node.left, region.clip_below(node.dim, node.lsp))
-    yield from leaves_with_regions(node.right, region.clip_above(node.dim, node.rsp))
+    leaves, lows, highs = leaf_region_arrays(node, region.low, region.high)
+    return [(leaf, Rect(lo, hi)) for leaf, lo, hi in zip(leaves, lows, highs)]
+
+
+def leaf_region_arrays(
+    node: KDNode, low: np.ndarray, high: np.ndarray
+) -> tuple[list[KDLeaf], np.ndarray, np.ndarray]:
+    """:func:`leaves_with_regions` as arrays: the kd leaves left to right
+    and their region lows and highs as ``(m, dims)`` rows.
+
+    The clamped ``min``/``max`` per split are those of
+    :meth:`Rect.clip_below` / :meth:`Rect.clip_above`, on arrays instead
+    of a ``Rect`` per split (iterative: see :func:`count_leaves`).
+    """
+    leaves: list[KDLeaf] = []
+    lows: list[np.ndarray] = []
+    highs: list[np.ndarray] = []
+    stack = [(node, low, high)]
+    while stack:
+        kd, lo, hi = stack.pop()
+        if isinstance(kd, KDLeaf):
+            leaves.append(kd)
+            lows.append(lo)
+            highs.append(hi)
+            continue
+        d = kd.dim
+        left_hi = hi.copy()
+        left_hi[d] = min(hi[d], max(kd.lsp, lo[d]))
+        right_lo = lo.copy()
+        right_lo[d] = max(lo[d], min(kd.rsp, hi[d]))
+        stack.append((kd.right, right_lo, hi))
+        stack.append((kd.left, lo, left_hi))
+    return leaves, np.array(lows), np.array(highs)
 
 
 def region_of_child(node: KDNode, region: Rect, child_id: int) -> Rect:

@@ -162,15 +162,22 @@ class DataNode:
 
 
 class IndexNode:
-    """An internal page: an intranode kd-tree over child page pointers."""
+    """An internal page: an intranode kd-tree over child page pointers.
 
-    __slots__ = ("kd_root", "level")
+    ``compiled`` caches the query-time child table the hybrid tree builds
+    from the kd-tree (``HybridTree._child_table``); it is never persisted,
+    and :class:`~repro.storage.nodemanager.NodeManager` drops it whenever
+    the node is put or freed.
+    """
+
+    __slots__ = ("kd_root", "level", "compiled")
 
     def __init__(self, kd_root: KDNode, level: int):
         if level < 1:
             raise ValueError("index nodes live at level >= 1")
         self.kd_root = kd_root
         self.level = level
+        self.compiled = None
 
     @property
     def fanout(self) -> int:

@@ -35,19 +35,32 @@ POLICY_VAM = "vam"
 POLICY_RR = "rr"
 _POLICIES = (POLICY_EDA, POLICY_VAM, POLICY_RR)
 
-_rr_counters: dict[int, int] = {}
+
+class RoundRobin:
+    """The ``rr`` policy's state: the dimension the next split tries first.
+
+    Each hybrid tree owns one (and persists ``next`` with its split
+    policy), so one tree's splits never depend on another tree's."""
+
+    __slots__ = ("next",)
+
+    def __init__(self, start: int = 0):
+        self.next = start
+
+    def order(self, dims: int) -> np.ndarray:
+        """Dimensions in trial order, starting one further on each call."""
+        start = self.next % dims
+        self.next = (start + 1) % dims
+        return np.arange(start, start + dims) % dims
 
 
-def _round_robin_order(dims: int) -> np.ndarray:
-    """Cycle through dimensions across calls (per-dimensionality counter)."""
-    start = _rr_counters.get(dims, 0)
-    _rr_counters[dims] = (start + 1) % dims
-    return np.arange(start, start + dims) % dims
+_default_rr = RoundRobin()
+"""Shared by direct calls of the split choosers that pass no state."""
 
 
 def reset_round_robin() -> None:
-    """Restart the round-robin cycling (for reproducible ``rr`` builds)."""
-    _rr_counters.clear()
+    """Restart the shared round-robin cycling of direct chooser calls."""
+    _default_rr.next = 0
 
 POSITION_MIDDLE = "middle"
 POSITION_MEDIAN = "median"
@@ -100,6 +113,7 @@ def choose_data_split(
     min_fill: float,
     policy: str = POLICY_EDA,
     position_rule: str = POSITION_MIDDLE,
+    rr: RoundRobin | None = None,
 ) -> DataSplit:
     """Split ``points`` (the overflowing node's entries) into two halves.
 
@@ -111,7 +125,8 @@ def choose_data_split(
     satisfies utilization (heavy duplicates) are skipped; if every dimension
     fails, the split degrades to a rank split at the duplicated value (both
     halves then touch the cut plane, which remains correct because the plane
-    belongs to both closed regions).
+    belongs to both closed regions).  ``rr`` is the round-robin state the
+    ``rr`` policy advances (default: one shared by all such calls).
     """
     _validate_policy(policy, position_rule)
     points = np.asarray(points)
@@ -129,7 +144,7 @@ def choose_data_split(
         scores = points.var(axis=0)
         dim_order = np.argsort(-scores, kind="stable")
     else:  # round-robin: uninformed cycling (LSDh-style)
-        dim_order = _round_robin_order(points.shape[1])
+        dim_order = (rr or _default_rr).order(points.shape[1])
 
     for dim in dim_order:
         dim = int(dim)
@@ -246,6 +261,7 @@ def choose_index_split(
     min_fill: float,
     query_side: float,
     policy: str = POLICY_EDA,
+    rr: RoundRobin | None = None,
 ) -> IndexSplit:
     """Split an overflowing index node's children into two groups.
 
@@ -254,7 +270,7 @@ def choose_index_split(
     or simply the maximum-variance-of-centres dimension (``vam``).  ``s_j``
     is the extent of the hull of the children's regions, so dimensions never
     used for splits below (``w_j == s_j``) cost 1.0 and are implicitly
-    eliminated (Lemma 1).
+    eliminated (Lemma 1).  ``rr`` is as in :func:`choose_data_split`.
     """
     _validate_policy(policy, POSITION_MIDDLE)
     n = len(children)
@@ -273,7 +289,7 @@ def choose_index_split(
         centers = (lows + highs) / 2.0
         candidate_dims: list[int] = [int(np.argmax(centers.var(axis=0)))]
     elif policy == POLICY_RR:
-        candidate_dims = [int(_round_robin_order(dims)[0])]
+        candidate_dims = [int((rr or _default_rr).order(dims)[0])]
     else:
         candidate_dims = list(range(dims))
 

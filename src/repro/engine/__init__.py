@@ -16,7 +16,8 @@ accounting all execution paths share.
 from repro.engine.batch import QuerySession
 from repro.engine.kernel import (
     ChildBound,
-    RectBound,
+    RectBounds,
+    StackedBounds,
     kernel_distance_range_many,
     kernel_knn_many,
     kernel_range_search_many,
@@ -38,8 +39,9 @@ __all__ = [
     "LoopRecorder",
     "ParallelQueryEngine",
     "QuerySession",
-    "RectBound",
+    "RectBounds",
     "SOASnapshot",
+    "StackedBounds",
     "WORKER_MODES",
     "active_snapshot",
     "ascii_histogram",

@@ -1,14 +1,16 @@
 """Structure-agnostic traversal kernel: one batch engine for every index.
 
-The shared-traversal batch engine used to be hard-wired to the hybrid tree
-(:mod:`repro.engine.batch`), while every baseline answered batched and
-parallel workloads through a measured per-query loop — so cross-structure
-benchmarks compared an optimized engine against an unoptimized one.  This
-module extracts the traversal into three generic functions written against a
-small **traversable-index protocol**; the hybrid tree and all paged
-baselines implement it, and single-query, batched, and N-worker parallel
-execution flow through this one code path with the same ``IOStats`` /
-``BatchMetrics`` accounting.
+Three generic functions — box range, distance range and k-NN — run one
+shared walk (:func:`_walk`) written against a small **traversable-index
+protocol**; the hybrid tree and all paged baselines implement it, and
+single-query, batched, and N-worker parallel execution flow through this
+one code path with the same ``IOStats`` / ``BatchMetrics`` accounting.  A
+single query is a batch of one: the hybrid tree's ``range_search``,
+``distance_range`` and ``count_range`` are this kernel (only its k-NN and
+``nearest_iter`` keep a best-first frontier, which bills fewer pages than
+the kernel's bound-ordered descent).  Each directory node is pruned with
+one array op over all of its children: ``trav_children`` hands back one
+node-level bound, not one object per child.
 
 The protocol (duck-typed; see INTERNALS section 9 for the contract):
 
@@ -25,9 +27,16 @@ The protocol (duck-typed; see INTERNALS section 9 for the contract):
 ``index.trav_is_leaf(node) -> bool``
 ``index.trav_leaf_points(node) -> (points_f32, oids)``
     The data page's live entries (row-aligned arrays).
-``index.trav_children(node, ctx) -> [(child_ref, child_ctx, bound)]``
-    Child enumeration in the structure's canonical visit order; ``bound``
-    is a :class:`ChildBound` for vectorized pruning.
+``index.trav_children(node, ctx) -> (child_refs, child_ctxs, bounds)``
+    The node's ``m`` children in the structure's canonical visit order:
+    their refs, their contexts (a sequence, or ``None`` when no child
+    carries one) and **one** node-level bound that prunes every alive
+    query against every child in one call: ``box_mask(lows, highs)``,
+    ``mindist(qs, metric)`` and ``distance_mask(qs, radii, metric)`` each
+    return a ``(q, m)`` array.  :class:`RectBounds` covers rectangle
+    geometry as two ``(m, dims)`` arrays; :class:`StackedBounds` stacks
+    per-child :class:`ChildBound` predicates for the sphere and kd-path
+    geometries.
 
 Optional protocol members:
 
@@ -68,12 +77,11 @@ same budget.
 
 from __future__ import annotations
 
-import heapq
 import time
 
 import numpy as np
 
-from repro.distances import L2, Metric, mindist_rect_many
+from repro.distances import L2, LpMetric, Metric, WeightedEuclidean, mindist_rect_many
 from repro.engine.metrics import BatchMetrics
 from repro.geometry.rect import Rect
 from repro.resilience import (
@@ -86,7 +94,10 @@ from repro.storage.errors import PageCorruptionError
 
 __all__ = [
     "ChildBound",
-    "RectBound",
+    "RectBounds",
+    "StackedBounds",
+    "merge_knn",
+    "mindist_boxes",
     "kernel_range_search_many",
     "kernel_distance_range_many",
     "kernel_knn_many",
@@ -109,14 +120,72 @@ def _as_query_matrix(centers, dims: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Child bounds: the pruning predicates, one object per child edge
+# Node bounds: the pruning predicates, one object per directory node
 # ----------------------------------------------------------------------
-class ChildBound:
-    """Vectorized pruning predicates for one child of an index node.
+def mindist_boxes(
+    metric: Metric, qs: np.ndarray, lows: np.ndarray, highs: np.ndarray
+) -> np.ndarray:
+    """``(q, m)`` lower bounds from each query point to each box.
 
-    Structures provide a subclass per region geometry; the kernel evaluates
-    the predicate for all alive queries at once.  Each row of the inputs is
-    one query; each method returns one value per row.
+    Entry ``[i, j]`` is bit-identical to ``metric.mindist_rect(qs[i],
+    lows[j], highs[j])``.  The clip-and-reduce metrics (``LpMetric``,
+    ``WeightedEuclidean``) broadcast ``np.clip`` over row-wise boxes, so a
+    short batch makes one ``mindist_rect_batch`` call per query against all
+    boxes; otherwise each box takes one ``mindist_rect_many`` call over all
+    queries.  Both forms reduce each row over its last axis, the same
+    float operations as the scalar bound.
+    """
+    out = np.empty((len(qs), len(lows)))
+    if isinstance(metric, (LpMetric, WeightedEuclidean)) and len(qs) <= len(lows):
+        for i, q in enumerate(qs):
+            out[i] = metric.mindist_rect_batch(q[None, :], lows, highs)
+    else:
+        for j in range(len(lows)):
+            out[:, j] = mindist_rect_many(metric, qs, lows[j], highs[j])
+    return out
+
+
+class RectBounds:
+    """Node-level bounds for ``m`` children boxed by axis-aligned
+    rectangles, held as two ``(m, dims)`` arrays (the hybrid tree's ELS
+    boxes, the R-, X- and KDB-tree entries).  Each method takes one query
+    per row and returns a ``(q, m)`` array, column ``j`` for child ``j``.
+    """
+
+    __slots__ = ("lows", "highs")
+
+    def __init__(self, lows: np.ndarray, highs: np.ndarray):
+        self.lows = lows
+        self.highs = highs
+
+    @classmethod
+    def of_rects(cls, rects) -> "RectBounds":
+        dims = rects[0].dims if rects else 0
+        lows = np.array([r.low for r in rects]).reshape(len(rects), dims)
+        highs = np.array([r.high for r in rects]).reshape(len(rects), dims)
+        return cls(lows, highs)
+
+    def box_mask(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        # Row-wise Rect.intersects_boxes_mask for every child at once.
+        return np.all(
+            (lows[:, None, :] <= self.highs) & (self.lows <= highs[:, None, :]),
+            axis=2,
+        )
+
+    def mindist(self, qs: np.ndarray, metric: Metric) -> np.ndarray:
+        return mindist_boxes(metric, qs, self.lows, self.highs)
+
+    def distance_mask(self, qs: np.ndarray, radii: np.ndarray, metric: Metric) -> np.ndarray:
+        return self.mindist(qs, metric) <= radii[:, None]
+
+
+class ChildBound:
+    """Vectorized pruning predicates for one child, over all alive queries.
+
+    The per-child form for geometries with no array layout (spheres,
+    sphere-and-rect pairs, M-tree routers, hB-tree kd paths); a node's
+    children are stacked into node-level form by :class:`StackedBounds`.
+    Each method returns one value per query row.
     """
 
     __slots__ = ()
@@ -137,19 +206,35 @@ class ChildBound:
         return self.mindist(qs, metric) <= radii
 
 
-class RectBound(ChildBound):
-    """The common case: a child bounded by an axis-aligned rectangle."""
+class StackedBounds:
+    """Node-level bounds stacking per-child :class:`ChildBound` predicates
+    column-wise into the ``(q, m)`` form of :class:`RectBounds`."""
 
-    __slots__ = ("rect",)
+    __slots__ = ("bounds",)
 
-    def __init__(self, rect: Rect):
-        self.rect = rect
+    def __init__(self, bounds: list[ChildBound]):
+        self.bounds = bounds
+
+    def _stack(self, rows: int, dtype, columns) -> np.ndarray:
+        out = np.empty((rows, len(self.bounds)), dtype=dtype)
+        for j, column in enumerate(columns):
+            out[:, j] = column
+        return out
 
     def box_mask(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        return self.rect.intersects_boxes_mask(lows, highs)
+        return self._stack(
+            len(lows), bool, (b.box_mask(lows, highs) for b in self.bounds)
+        )
 
     def mindist(self, qs: np.ndarray, metric: Metric) -> np.ndarray:
-        return mindist_rect_many(metric, qs, self.rect.low, self.rect.high)
+        return self._stack(
+            len(qs), np.float64, (b.mindist(qs, metric) for b in self.bounds)
+        )
+
+    def distance_mask(self, qs: np.ndarray, radii: np.ndarray, metric: Metric) -> np.ndarray:
+        return self._stack(
+            len(qs), bool, (b.distance_mask(qs, radii, metric) for b in self.bounds)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -190,30 +275,91 @@ def _finish(results, visits, index, start, reads0, return_metrics, label):
     return results, metrics
 
 
-def _make_fetch(index, charged: set):
-    """Node fetch honouring the structure's de-duplication contract."""
-    if not getattr(index, "trav_dedup", False):
-        return index.trav_node
+def _walk(index, n: int, deadline, on_timeout: str, leaf, descend, scan):
+    """The shared traversal every kernel runs: one DFS over the protocol
+    with an alive set of query rows.
 
-    def fetch(ref):
+    ``leaf(pts, oids, alive)`` scans a data page for the alive rows;
+    ``descend(bounds, alive)`` yields ``(j, sub)`` for each child ``j`` to
+    visit with rows ``sub``, in visit order (lazily, so a k-NN walk sees
+    the kth distances its earlier siblings tightened); ``scan(vectors,
+    oids)`` answers the whole batch from the corruption-degraded scan.
+    Dedup structures charge each page once per batch and scan each
+    ``(leaf, row)`` pair once.  Returns ``(visits, scan_out, err)``:
+    per-row node visits, the degraded answer (``None`` when the walk ran
+    or the scan itself timed out) and the partial-mode timeout.
+    """
+    visits = np.zeros(n, dtype=np.int64)
+    dedup = getattr(index, "trav_dedup", False)
+    charged: set = set()
+    scanned: dict = {}
+
+    def visit(ref, ctx, alive: np.ndarray) -> None:
+        if deadline is not None:
+            deadline.check()
         node = index.trav_node(ref, charge=ref not in charged)
-        charged.add(ref)
-        return node
+        if dedup:
+            charged.add(ref)
+        visits[alive] += 1
+        if index.trav_is_leaf(node):
+            if dedup:  # drop rows that already scanned this leaf
+                done = scanned.setdefault(ref, np.zeros(n, dtype=bool))
+                alive = alive[~done[alive]]
+                done[alive] = True
+            if alive.size:
+                pts, oids = index.trav_leaf_points(node)
+                if len(pts):
+                    leaf(pts, oids, alive)
+            return
+        refs, ctxs, bounds = index.trav_children(node, ctx)
+        for j, sub in descend(bounds, alive):
+            visit(refs[j], None if ctxs is None else ctxs[j], sub)
 
-    return fetch
+    root_ref, root_ctx = index.trav_root()
+    degrade = getattr(index, "trav_degrade", None)
+    scan_out = err = None
+    try:
+        with deadline_scope(deadline):
+            try:
+                visit(root_ref, root_ctx, np.arange(n))
+            except PageCorruptionError as exc:
+                # ``on_corruption="scan"`` answers the whole batch from one
+                # sequential scan (still under the deadline — see
+                # ``HybridTree._scan_entries``).
+                if degrade is None:
+                    raise
+                scan_out = scan(*degrade(exc))
+    except QueryTimeoutError as exc:
+        if on_timeout != "partial":
+            raise
+        err = exc
+    return visits, scan_out, err
 
 
-def _dedup_filter(index, scanned: dict, ref, alive: np.ndarray, n: int) -> np.ndarray:
-    """For dedup structures: drop queries that already scanned this leaf."""
-    if not getattr(index, "trav_dedup", False):
-        return alive
-    done = scanned.get(ref)
-    if done is None:
-        done = np.zeros(n, dtype=bool)
-        scanned[ref] = done
-    alive = alive[~done[alive]]
-    done[alive] = True
-    return alive
+def merge_knn(best_d, best_o, kth, qi, dists, oids, k: int, keep=None) -> None:
+    """Fold one leaf's ``(dists, oids)`` into query ``qi``'s best ``k``.
+
+    ``best_d[qi]`` / ``best_o[qi]`` hold the query's best entries sorted by
+    the deterministic ``(distance, oid)`` order and ``kth[qi]`` its kth
+    distance (inf until it has k).  Only entries at most the kth can enter
+    the top k (ties at the kth still can, under the oid order); ``keep``
+    is that mask when the caller has already computed it.
+    """
+    if keep is None:
+        keep = dists <= kth[qi]
+        if not keep.any():
+            return
+    d_all = np.concatenate((best_d[qi], dists[keep]))
+    o_all = np.concatenate((best_o[qi], oids[keep]))
+    top = np.lexsort((o_all, d_all))[:k]
+    best_d[qi], best_o[qi] = d_all[top], o_all[top]
+    if len(top) >= k:
+        kth[qi] = best_d[qi][-1]
+
+
+def _masked(mask: np.ndarray, alive: np.ndarray):
+    """``(j, rows)`` for every child column of ``mask`` some row keeps."""
+    return ((j, alive[mask[:, j]]) for j in np.flatnonzero(mask.any(axis=0)))
 
 
 # ----------------------------------------------------------------------
@@ -254,58 +400,23 @@ def kernel_range_search_many(
     lows = np.stack([q.low for q in queries])
     highs = np.stack([q.high for q in queries])
     results: list[list[np.ndarray]] = [[] for _ in range(n)]
-    visits = np.zeros(n, dtype=np.int64)
-    charged: set = set()
-    scanned: dict = {}
-    fetch = _make_fetch(index, charged)
 
-    def visit(ref, ctx, alive: np.ndarray) -> None:
-        if deadline is not None:
-            deadline.check()
-        node = fetch(ref)
-        visits[alive] += 1
-        if index.trav_is_leaf(node):
-            alive = _dedup_filter(index, scanned, ref, alive, n)
-            if not alive.size:
-                return
-            pts, oids = index.trav_leaf_points(node)
-            if len(pts):
-                inside = Rect.boxes_contain_points_mask(
-                    lows[alive], highs[alive], pts
-                )
-                for row, qi in zip(inside, alive):
-                    if row.any():
-                        results[qi].append(oids[row])
-            return
-        for child_ref, child_ctx, bound in index.trav_children(node, ctx):
-            sub = alive[bound.box_mask(lows[alive], highs[alive])]
-            if sub.size:
-                visit(child_ref, child_ctx, sub)
+    def leaf(pts, oids, alive):
+        inside = Rect.boxes_contain_points_mask(lows[alive], highs[alive], pts)
+        for row, qi in zip(inside, alive):
+            if row.any():
+                results[qi].append(oids[row])
 
-    root_ref, root_ctx = index.trav_root()
-    degrade = getattr(index, "trav_degrade", None)
-    err = None
-    scan_out = None
-    try:
-        with deadline_scope(deadline):
-            try:
-                visit(root_ref, root_ctx, np.arange(n))
-            except PageCorruptionError as exc:
-                # Same policy as the single-query path: ``on_corruption=
-                # "scan"`` answers the whole batch from one sequential scan
-                # (still under the deadline — see ``_scan_entries``).
-                if degrade is None:
-                    raise
-                vectors, oids = degrade(exc)
-                inside = Rect.boxes_contain_points_mask(lows, highs, vectors)
-                scan_out = [[int(o) for o in oids[row]] for row in inside]
-    except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        err = exc
-    if scan_out is not None:
-        out = scan_out
-    else:
+    def scan(vectors, oids):
+        inside = Rect.boxes_contain_points_mask(lows, highs, vectors)
+        return [[int(o) for o in oids[row]] for row in inside]
+
+    visits, out, err = _walk(
+        index, n, deadline, on_timeout, leaf,
+        lambda bounds, alive: _masked(bounds.box_mask(lows[alive], highs[alive]), alive),
+        scan,
+    )
+    if out is None:
         out = [[int(o) for arr in per_query for o in arr] for per_query in results]
     return _finish(
         _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, label
@@ -342,63 +453,35 @@ def kernel_distance_range_many(
     radii = np.broadcast_to(np.asarray(radii, dtype=np.float64), (n,))
     if np.any(radii < 0):
         raise ValueError("radius must be non-negative")
-    out: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    visits = np.zeros(n, dtype=np.int64)
-    charged: set = set()
-    scanned: dict = {}
-    fetch = _make_fetch(index, charged)
+    results: list[list[tuple[int, float]]] = [[] for _ in range(n)]
 
-    def visit(ref, ctx, alive: np.ndarray) -> None:
-        if deadline is not None:
-            deadline.check()
-        node = fetch(ref)
-        visits[alive] += 1
-        if index.trav_is_leaf(node):
-            alive = _dedup_filter(index, scanned, ref, alive, n)
-            if not alive.size:
-                return
-            pts, oids = index.trav_leaf_points(node)
-            if len(pts):
-                points64 = pts.astype(np.float64)
-                for qi in alive:
-                    dists = metric.distance_batch(points64, qs[qi])
-                    for i in np.flatnonzero(dists <= radii[qi]):
-                        out[qi].append((int(oids[i]), float(dists[i])))
-            return
-        for child_ref, child_ctx, bound in index.trav_children(node, ctx):
-            sub = alive[bound.distance_mask(qs[alive], radii[alive], metric)]
-            if sub.size:
-                visit(child_ref, child_ctx, sub)
+    def leaf(pts, oids, alive):
+        points64 = pts.astype(np.float64)
+        for qi in alive:
+            dists = metric.distance_batch(points64, qs[qi])
+            for i in np.flatnonzero(dists <= radii[qi]):
+                results[qi].append((int(oids[i]), float(dists[i])))
 
-    root_ref, root_ctx = index.trav_root()
-    degrade = getattr(index, "trav_degrade", None)
-    err = None
-    try:
-        with deadline_scope(deadline):
-            try:
-                visit(root_ref, root_ctx, np.arange(n))
-            except PageCorruptionError as exc:
-                if degrade is None:
-                    raise
-                vectors, oids = degrade(exc)
-                points64 = vectors.astype(np.float64)
-                out = []
-                for qi in range(n):
-                    dists = metric.distance_batch(points64, qs[qi])
-                    out.append(
-                        [
-                            (int(oids[i]), float(dists[i]))
-                            for i in np.flatnonzero(dists <= radii[qi])
-                        ]
-                    )
-    except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        err = exc
-        while len(out) < n:  # degraded scan interrupted mid-rebuild
-            out.append([])
+    def scan(vectors, oids):
+        points64 = vectors.astype(np.float64)
+        out = []
+        for qi in range(n):
+            dists = metric.distance_batch(points64, qs[qi])
+            out.append(
+                [(int(oids[i]), float(dists[i])) for i in np.flatnonzero(dists <= radii[qi])]
+            )
+        return out
+
+    visits, out, err = _walk(
+        index, n, deadline, on_timeout, leaf,
+        lambda bounds, alive: _masked(
+            bounds.distance_mask(qs[alive], radii[alive], metric), alive
+        ),
+        scan,
+    )
     return _finish(
-        _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, label
+        _wrap_partial(results if out is None else out, err, n),
+        visits, index, start, reads0, return_metrics, label,
     )
 
 
@@ -439,89 +522,43 @@ def kernel_knn_many(
     qs = _as_query_matrix(centers, index.dims)
     n = qs.shape[0]
     shrink = 1.0 / (1.0 + approximation_factor)
-    # One max-heap of the best k per query, keyed (-distance, -oid) as in
-    # the single-query paths; kth[i] caches query i's current kth distance.
-    heaps: list[list[tuple[float, int]]] = [[] for _ in range(n)]
+    # Each query's best (at most k) entries, sorted by (distance, oid);
+    # kth[i] caches query i's current kth distance.
+    best_d = [np.empty(0) for _ in range(n)]
+    best_o = [np.empty(0, dtype=np.int64) for _ in range(n)]
     kth = np.full(n, np.inf)
-    visits = np.zeros(n, dtype=np.int64)
-    charged: set = set()
-    scanned: dict = {}
-    fetch = _make_fetch(index, charged)
 
-    def visit(ref, ctx, alive: np.ndarray) -> None:
-        if deadline is not None:
-            deadline.check()
-        node = fetch(ref)
-        visits[alive] += 1
-        if index.trav_is_leaf(node):
-            alive = _dedup_filter(index, scanned, ref, alive, n)
-            if not alive.size:
-                return
-            pts, oids = index.trav_leaf_points(node)
-            if not len(pts):
-                return
-            points64 = pts.astype(np.float64)
-            for qi in alive:
-                dists = metric.distance_batch(points64, qs[qi])
-                best = heaps[qi]
-                for i, dist in enumerate(dists):
-                    dist = float(dist)
-                    oid = int(oids[i])
-                    if len(best) < k:
-                        heapq.heappush(best, (-dist, -oid))
-                    elif (dist, oid) < (-best[0][0], -best[0][1]):
-                        heapq.heapreplace(best, (-dist, -oid))
-                if len(best) >= k:
-                    kth[qi] = -best[0][0]
-            return
-        scored = []
-        for child_ref, child_ctx, bound in index.trav_children(node, ctx):
-            bounds = bound.mindist(qs[alive], metric)
-            scored.append((float(bounds.min()), child_ref, child_ctx, bounds))
-        scored.sort(key=lambda entry: entry[0])
-        for _, child_ref, child_ctx, bounds in scored:
+    def leaf(pts, oids, alive):
+        points64 = pts.astype(np.float64)
+        for qi in alive:
+            dists = metric.distance_batch(points64, qs[qi])
+            merge_knn(best_d, best_o, kth, qi, dists, oids, k)
+
+    def descend(bounds, alive):
+        lower = bounds.mindist(qs[alive], metric)
+        # Children in order of their best bound over the alive set (a
+        # stable sort: ties keep trav_children order).
+        for j in np.argsort(lower.min(axis=0), kind="stable"):
             # Re-filter against the *current* kth: earlier siblings may have
             # tightened it since the bounds were computed.
-            sub = alive[bounds <= kth[alive] * shrink]
+            sub = alive[lower[:, j] <= kth[alive] * shrink]
             if sub.size:
-                visit(child_ref, child_ctx, sub)
+                yield j, sub
 
-    root_ref, root_ctx = index.trav_root()
-    degrade = getattr(index, "trav_degrade", None)
-    err = None
-    scan_out = None
-    try:
-        with deadline_scope(deadline):
-            try:
-                visit(root_ref, root_ctx, np.arange(n))
-            except PageCorruptionError as exc:
-                if degrade is None:
-                    raise
-                vectors, oids = degrade(exc)
-                points64 = vectors.astype(np.float64)
-                scan_out = []
-                for qi in range(n):
-                    dists = metric.distance_batch(points64, qs[qi])
-                    order = np.lexsort((oids, dists))[:k]
-                    scan_out.append(
-                        [(int(oids[i]), float(dists[i])) for i in order]
-                    )
-    except QueryTimeoutError as exc:
-        if on_timeout != "partial":
-            raise
-        err = exc
-        if scan_out is not None:
-            while len(scan_out) < n:  # degraded scan interrupted mid-rebuild
-                scan_out.append([])
-    if scan_out is not None:
-        out = scan_out
-    else:
+    def scan(vectors, oids):
+        points64 = vectors.astype(np.float64)
+        out = []
+        for qi in range(n):
+            dists = metric.distance_batch(points64, qs[qi])
+            order = np.lexsort((oids, dists))[:k]
+            out.append([(int(oids[i]), float(dists[i])) for i in order])
+        return out
+
+    visits, out, err = _walk(index, n, deadline, on_timeout, leaf, descend, scan)
+    if out is None:
         out = [
-            sorted(
-                ((-neg_oid, -neg_dist) for neg_dist, neg_oid in best),
-                key=lambda t: (t[1], t[0]),
-            )
-            for best in heaps
+            [(int(o), float(d)) for o, d in zip(best_o[qi], best_d[qi])]
+            for qi in range(n)
         ]
     return _finish(
         _wrap_partial(out, err, n), visits, index, start, reads0, return_metrics, label

@@ -181,8 +181,8 @@ class KernelQueryMixin(LoopQueryMixin):
     :mod:`repro.engine.kernel`) inherit this so single-query, batched, and
     parallel execution all flow through the same traversal code with the
     same accounting; the single-query methods are the kernel at batch size
-    one (a structure with a faster dedicated single-query walk, like the
-    hybrid tree, overrides them).  The ``*_loop`` methods from
+    one (the hybrid tree calls the object kernel directly, never the SOA
+    snapshot, and keeps a best-first k-NN).  The ``*_loop`` methods from
     :class:`LoopQueryMixin` remain available as the measured per-query
     baseline.
 

@@ -48,6 +48,7 @@ from repro.engine.kernel import (
     _reads,
     _wrap_partial,
     check_on_timeout,
+    merge_knn,
 )
 from repro.resilience import Deadline, QueryTimeoutError
 from repro.storage.iostats import AccessKind
@@ -294,31 +295,14 @@ class _PairBounds:
         )
 
     # -- metric lower bounds -------------------------------------------
-    def _rect_mindist(
-        self, low: np.ndarray, high: np.ndarray, e: np.ndarray, qrows: np.ndarray
-    ) -> np.ndarray:
-        metric = self.metric
-        # Mirrors LpMetric/WeightedEuclidean.mindist_rect_batch elementwise.
-        clipped = np.clip(qrows, low[e], high[e])
-        if isinstance(metric, WeightedEuclidean):
-            diff = qrows - clipped
-            return np.sqrt((metric.weights * diff * diff).sum(axis=1))
-        diff = np.abs(qrows - clipped)
-        if np.isinf(metric.p):
-            return diff.max(axis=1)
-        if metric.p == 1.0:
-            return diff.sum(axis=1)
-        if metric.p == 2.0:
-            return np.sqrt((diff * diff).sum(axis=1))
-        return (diff ** metric.p).sum(axis=1) ** (1.0 / metric.p)
-
     def mindist(self, e: np.ndarray, q: np.ndarray, qs: np.ndarray) -> np.ndarray:
         snap, metric = self.snap, self.metric
         if self._rectlike:
             low = snap.dist_low if snap.kind == "rect2" else snap.box_low
             high = snap.dist_high if snap.kind == "rect2" else snap.box_high
             if self._vec_metric:
-                return self._rect_mindist(low, high, e, qs[q])
+                # mindist_rect_batch clips against row-wise boxes too.
+                return metric.mindist_rect_batch(qs[q], low[e], high[e])
             return _per_edge_eval(
                 e,
                 np.float64,
@@ -777,33 +761,14 @@ def soa_knn_many(
                             )
                     cand_mask = dmat <= kth[alive][:, None]
                     for row in np.flatnonzero(cand_mask.any(axis=1)):
-                        qi = alive[row]
-                        keep = cand_mask[row]
-                        d_all = np.concatenate((best_d[qi], dmat[row][keep]))
-                        o_all = np.concatenate((best_o[qi], oids[keep]))
-                        top = np.lexsort((o_all, d_all))[:k]
-                        best_d[qi], best_o[qi] = d_all[top], o_all[top]
-                        if len(top) >= k:
-                            kth[qi] = best_d[qi][-1]
+                        merge_knn(
+                            best_d, best_o, kth, alive[row], dmat[row], oids, k,
+                            cand_mask[row],
+                        )
                     continue
                 for qi in alive:
                     dists = metric.distance_batch(points64, qs[qi])
-                    if len(best_d[qi]) >= k:
-                        # Candidates beyond the kth can never enter the top
-                        # k (ties at kth still can, under the (dist, oid)
-                        # order).
-                        keep = dists <= kth[qi]
-                        cand_d, cand_o = dists[keep], oids[keep]
-                    else:
-                        cand_d, cand_o = dists, oids
-                    if not len(cand_d):
-                        continue
-                    d_all = np.concatenate((best_d[qi], cand_d))
-                    o_all = np.concatenate((best_o[qi], cand_o))
-                    top = np.lexsort((o_all, d_all))[:k]
-                    best_d[qi], best_o[qi] = d_all[top], o_all[top]
-                    if len(top) >= k:
-                        kth[qi] = best_d[qi][-1]
+                    merge_knn(best_d, best_o, kth, qi, dists, oids, k)
                 continue
             e0, e1 = int(cs[node]), int(cs[node + 1])
             if e0 == e1:

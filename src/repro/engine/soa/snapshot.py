@@ -9,9 +9,12 @@ protocol (:mod:`repro.engine.kernel`) and emits a :class:`SOASnapshot`:
 - **CSR child offsets**: the edges of occurrence ``i`` are rows
   ``child_start[i] : child_start[i + 1]`` of the edge arrays, in the
   structure's canonical ``trav_children`` order;
-- **per-edge bound rows** packed by geometry kind (rectangles for the
-  hybrid/R/X/kd-B trees, path-rect + region pairs for the hB-tree,
-  center + radius for the sphere-bounded SS/SR/M-trees);
+- **per-edge bound rows** packed by geometry kind: the rectangle
+  structures (hybrid/R/X/kd-B trees) hand over each node's
+  :class:`~repro.engine.kernel.RectBounds` arrays, which are concatenated
+  as they are; the hB-tree's path-rect + region pairs and the sphere
+  center + radius rows of the SS/SR/M-trees are copied out of the
+  per-child bounds of their :class:`~repro.engine.kernel.StackedBounds`;
 - **concatenated leaf data**: all live leaf vectors in one ``float32``
   array and their oids beside it, each leaf occurrence holding a slice
   ``leaf_start[i] : leaf_end[i]`` (occurrences of the same page share one
@@ -37,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.engine.kernel import RectBounds, StackedBounds
 
 __all__ = ["SOASnapshot", "active_snapshot", "compile_snapshot"]
 
@@ -163,10 +168,7 @@ def active_snapshot(index) -> SOASnapshot | None:
 
 
 def _classify_bound(bound) -> str:
-    from repro.engine.kernel import RectBound
-
-    if isinstance(bound, RectBound):
-        return "rect"
+    """Geometry kind of one per-child bound of a :class:`StackedBounds`."""
     if hasattr(bound, "path_rect") and hasattr(bound, "region"):
         return "rect2"
     if hasattr(bound, "sphere"):
@@ -208,6 +210,8 @@ def compile_snapshot(index) -> SOASnapshot:
     leaf_end: list[int] = []
     edge_child: list[int] = []
     edge_bounds: list = []
+    rect_lows: list[np.ndarray] = []
+    rect_highs: list[np.ndarray] = []
     kind: str | None = None
 
     # Leaf slices are shared between occurrences of the same page.
@@ -246,24 +250,35 @@ def compile_snapshot(index) -> SOASnapshot:
         node_is_leaf.append(False)
         leaf_start.append(0)
         leaf_end.append(0)
-        children = index.trav_children(node, ctx)
-        first_edge = len(edge_child)
-        for _child_ref, _child_ctx, bound in children:
-            bkind = _classify_bound(bound)
+        refs, ctxs, bounds = index.trav_children(node, ctx)
+        if isinstance(bounds, RectBounds):
+            # Rect geometry is already arrays: concatenated at the end.
+            kinds = ["rect"] if len(refs) else []
+            rect_lows.append(bounds.lows)
+            rect_highs.append(bounds.highs)
+        elif isinstance(bounds, StackedBounds):
+            kinds = [_classify_bound(b) for b in bounds.bounds]
+            edge_bounds.extend(bounds.bounds)
+        else:
+            raise TypeError(
+                f"cannot compile {type(bounds).__name__} into a "
+                "struct-of-arrays snapshot: unknown bound geometry"
+            )
+        for bkind in kinds:
             if kind is None:
                 kind = bkind
             elif kind != bkind:
                 raise TypeError(
                     f"mixed bound kinds in one index: {kind} vs {bkind}"
                 )
-            edge_child.append(-1)
-            edge_bounds.append(bound)
+        first_edge = len(edge_child)
+        edge_child.extend([-1] * len(refs))
         child_start.append(len(edge_child))
         # Push in reverse so pops happen in trav_children order (DFS
         # pre-order, the object kernel's visit order).
-        for offset in range(len(children) - 1, -1, -1):
-            child_ref, child_ctx, _bound = children[offset]
-            stack.append((child_ref, child_ctx, first_edge + offset))
+        for offset in range(len(refs) - 1, -1, -1):
+            child_ctx = None if ctxs is None else ctxs[offset]
+            stack.append((refs[offset], child_ctx, first_edge + offset))
 
     if kind is None:
         kind = "rect"  # a single-leaf tree has no edges; any kind fits
@@ -271,11 +286,8 @@ def compile_snapshot(index) -> SOASnapshot:
     box_low = box_high = dist_low = dist_high = center = radius = None
     n_edges = len(edge_child)
     if kind == "rect":
-        box_low = np.empty((n_edges, dims))
-        box_high = np.empty((n_edges, dims))
-        for i, bound in enumerate(edge_bounds):
-            box_low[i] = bound.rect.low
-            box_high[i] = bound.rect.high
+        box_low = np.concatenate(rect_lows) if rect_lows else np.empty((0, dims))
+        box_high = np.concatenate(rect_highs) if rect_highs else np.empty((0, dims))
     elif kind == "rect2":
         box_low = np.empty((n_edges, dims))
         box_high = np.empty((n_edges, dims))

@@ -39,6 +39,13 @@ class NodeCodec(Protocol):
         ...
 
 
+def _forget_compiled(node: Any) -> None:
+    """Drop query state compiled from a node's contents (the hybrid tree's
+    child table): a put or free means those contents changed."""
+    if getattr(node, "compiled", None) is not None:
+        node.compiled = None
+
+
 class NodeManager:
     """Page-granular node cache with I/O accounting.
 
@@ -162,6 +169,7 @@ class NodeManager:
         if self._track_written is not None:
             self._track_written.add(page_id)
             self._track_freed.discard(page_id)
+        _forget_compiled(node)
         self._cache[page_id] = node
         if self.max_cached is not None:
             self._cache.move_to_end(page_id)
@@ -189,7 +197,9 @@ class NodeManager:
         if self._track_freed is not None:
             self._track_freed.add(page_id)
             self._track_written.discard(page_id)
-        self._cache.pop(page_id, None)
+        node = self._cache.pop(page_id, None)
+        if node is not None:
+            _forget_compiled(node)
         self._dirty.discard(page_id)
         self._pinned.discard(page_id)
         self.store.free(page_id)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import HybridTree, kdnodes
+from repro.core.nodes import DataNode
 from repro.core.splits import (
     POLICY_EDA,
+    POLICY_RR,
     POLICY_VAM,
     POSITION_MEDIAN,
     POSITION_MIDDLE,
@@ -14,6 +17,7 @@ from repro.core.splits import (
     choose_data_split,
     choose_index_split,
 )
+from repro.datasets import uniform_dataset
 from repro.geometry.rect import Rect
 
 
@@ -202,3 +206,79 @@ def test_property_bipartition_invariants(n, seed):
     assert lsp >= rsp
     assert all(intervals[i, 1] <= lsp + 1e-12 for i in left)
     assert all(intervals[i, 0] >= rsp - 1e-12 for i in right)
+
+
+# ----------------------------------------------------------------------
+# Round-robin state belongs to one tree
+# ----------------------------------------------------------------------
+def _layout(tree) -> list:
+    """Every kd split and every data page's oids, in DFS order."""
+    out: list = []
+
+    def walk(node_id: int) -> None:
+        node = tree.nm.get(node_id, charge=False)
+        if isinstance(node, DataNode):
+            out.append(sorted(node.live_oids().tolist()))
+            return
+        out.extend((kd.dim, kd.lsp, kd.rsp) for kd in kdnodes.iter_internals(node.kd_root))
+        for child_id in node.child_ids():
+            walk(child_id)
+
+    walk(tree.root_id)
+    return out
+
+
+def _rr_tree(data=None):
+    tree = HybridTree(4, page_size=512, split_policy=POLICY_RR)
+    for oid, v in enumerate(data if data is not None else []):
+        tree.insert(v, oid)
+    return tree
+
+
+def test_rr_trees_built_together_match_trees_built_alone():
+    """Regression: the round-robin counter was one module global, so two
+    ``rr`` trees built with interleaved inserts split differently from
+    the same trees built one after the other."""
+    data_a = uniform_dataset(700, 4, seed=71)
+    data_b = uniform_dataset(700, 4, seed=72)
+    alone_a = _layout(_rr_tree(data_a))
+    alone_b = _layout(_rr_tree(data_b))
+    tree_a, tree_b = _rr_tree(), _rr_tree()
+    for oid, (va, vb) in enumerate(zip(data_a, data_b)):
+        tree_a.insert(va, oid)
+        tree_b.insert(vb, oid)
+    assert _layout(tree_a) == alone_a
+    assert _layout(tree_b) == alone_b
+
+
+def test_rr_state_survives_save_and_open(tmp_path):
+    data = uniform_dataset(700, 4, seed=73)
+    whole = _rr_tree(data)
+    half = _rr_tree(data[:350])
+    half.save(tmp_path / "half.pages")
+    _rr_tree(data)  # another rr tree in between must not matter
+    reopened = HybridTree.open(tmp_path / "half.pages")
+    assert reopened.rr.next == half.rr.next
+    for oid in range(350, 700):
+        reopened.insert(data[oid], oid)
+    assert _layout(reopened) == _layout(whole)
+
+
+def test_rr_state_survives_wal_replay(tmp_path):
+    data = uniform_dataset(700, 4, seed=74)
+    whole = _rr_tree(data)
+    half = _rr_tree(data[:350])
+    path = str(tmp_path / "half.pages")
+    half.save(path)
+    live = HybridTree.open(path, wal=True)
+    for oid in range(350, 500):
+        live.insert(data[oid], oid)
+    rr_next = live.rr.next
+    live.close()  # no checkpoint: reopening replays the log
+    replayed = HybridTree.open(path)
+    assert replayed.wal_replayed_transactions == 150
+    assert replayed.rr.next == rr_next
+    for oid in range(500, 700):
+        replayed.insert(data[oid], oid)
+    assert _layout(replayed) == _layout(whole)
+    replayed.close()
